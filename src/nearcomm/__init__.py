@@ -33,8 +33,6 @@ from .gapped_log import (
     kernel_transform,
     laurent_coefficients,
     sawtooth_coefficient,
-    smoothed_coefficients,
-    SmearingKernel,
 )
 from .jointdiag import (
     CommutingHermitianPair,
@@ -43,7 +41,6 @@ from .jointdiag import (
     off_measure,
 )
 from .linalg import (
-    ComplexMatrix,
     HermitianMatrix,
     ToleranceConfig,
     UnitaryMatrix,
@@ -76,7 +73,6 @@ __all__ = [
     "BoundReport",
     "BranchPointError",
     "CommutingHermitianPair",
-    "ComplexMatrix",
     "Eigensystem",
     "ExperimentConfig",
     "GapInfo",
@@ -89,7 +85,6 @@ __all__ = [
     "PipelineOptions",
     "PipelineResult",
     "PreconditionError",
-    "SmearingKernel",
     "SweepSummary",
     "ToleranceConfig",
     "TrialRecord",
@@ -118,7 +113,6 @@ __all__ = [
     "operator_norm",
     "run_sweep",
     "sawtooth_coefficient",
-    "smoothed_coefficients",
     "stream_rng",
     "summarize",
     "unitarity_defect",

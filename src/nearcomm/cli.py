@@ -19,21 +19,11 @@ from .gapped_log import certified_truncation, gapped_log
 from .linalg import UnitaryMatrix
 from .pipeline import PipelineOptions, near_commuting_unitaries
 from .spectral import center_gap, largest_gap, unitary_eigensystem
-from .sweep import ExperimentConfig, run_sweep, summarize
+from .sweep import ExperimentConfig, _fmt, run_sweep, summarize
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
 EXIT_REJECTED = 2
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
 
 
 def _print_kv(pairs: dict) -> None:

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchPointError,
-    InvalidInputError,
-    NumericalError,
-    PreconditionError,
-    TruncationError,
-)
+from .errors import BranchPointError, InvalidInputError, PreconditionError, TruncationError
 from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianMatrix,
@@ -34,7 +28,7 @@ from .linalg import (
     as_square_array,
     hermiticity_defect,
 )
-from .spectral import unitary_eigensystem, wrap_to_pi
+from .spectral import CenteredUnitary, unitary_eigensystem, wrap_to_pi
 
 # Decay constant of the coefficient envelope |c_k| <= C/(gamma*k^4):
 # sup_s s^3 |X(s)| for the unit-mass kernel transform X is 25.3834 (attained
@@ -59,31 +53,6 @@ def sawtooth_coefficient(k: int) -> complex:
     if k == 0:
         return complex(np.pi)
     return 1j / k
-
-
-@dataclass(frozen=True)
-class SmearingKernel:
-    """The bump (1 - (x/gamma)^2)^3 on |x| <= gamma, scaled to unit mass."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
-
-    @property
-    def normalization(self) -> float:
-        """Prefactor 35/(32*gamma) making the kernel integrate to 1."""
-        return 35.0 / (32.0 * self.gamma)
-
-    def density(self, x):
-        x = np.asarray(x, dtype=float)
-        inside = np.abs(x) <= self.gamma
-        vals = np.where(inside, (1.0 - (x / self.gamma) ** 2) ** 3, 0.0)
-        return self.normalization * vals
-
-    def transform(self, t):
-        return kernel_transform(self.gamma, t)
 
 
 def kernel_transform(gamma: float, t):
@@ -166,17 +135,6 @@ def laurent_coefficients(gamma: float, trunc_order: int) -> LaurentCoefficients:
                                coeffs=coeffs, c_emp=c_emp, tail=tail)
 
 
-def smoothed_coefficients(delta: float, gamma: float, trunc_order: int) -> LaurentCoefficients:
-    """laurent_coefficients gated by the gap hypothesis 0 < gamma < delta < pi."""
-    if not 0 < delta < np.pi:
-        raise InvalidInputError(f"delta must lie in (0, pi), got {delta}")
-    if not gamma < delta:
-        raise PreconditionError(
-            f"smoothing width gamma = {gamma} must be below the gap half-width delta = {delta}"
-        )
-    return laurent_coefficients(gamma, trunc_order)
-
-
 def evaluate_smoothed_sawtooth(theta: float, gamma: float, trunc_order: int) -> float:
     """Value of the truncated smoothed-sawtooth series at angle theta.
 
@@ -211,24 +169,23 @@ def choose_truncation(gamma: float, target: float, c_est: float | None = None) -
 def certified_truncation(gamma: float, target: float) -> int:
     """Truncation order whose measured tail bound certifies the target.
 
-    Starts from choose_truncation's estimate and re-solves with the
-    measured decay constant if that estimate falls short; the constant
-    stops changing once the envelope's peak is inside the summed range, so
-    a couple of rounds always settle it.
+    choose_truncation's first estimate already certifies it: the measured
+    decay constant obeys c_emp * gamma^2 <= sup_s s^3 |X(s)| = 25.3834 <
+    ENVELOPE_CONSTANT, so the measured tail at that order is at most
+    25.3834/26 of the target. gapped_log re-measures the tail on the
+    coefficients it sums and raises TruncationError if it ever falls short.
     """
-    k = choose_truncation(gamma, target)
-    for _ in range(4):
-        lc = laurent_coefficients(gamma, k)
-        if lc.tail <= target:
-            return k
-        k = max(k + 1, choose_truncation(gamma, target, c_est=lc.c_emp))
-    raise NumericalError(
-        f"could not certify tail <= {target:.3e} at gamma = {gamma} (reached order {k})"
-    )
+    return choose_truncation(gamma, target)
 
 
 def _measured_gap(u, tolerances: ToleranceConfig) -> float:
-    """Distance of the spectrum of u from angle 0 (the branch cut)."""
+    """Distance of the spectrum of u from angle 0 (the branch cut).
+
+    A CenteredUnitary carries the half-width center_gap measured; any other
+    input is decomposed.
+    """
+    if isinstance(u, CenteredUnitary):
+        return u.gap.half_width
     es = unitary_eigensystem(u, tolerances)
     return float(np.min(np.abs(wrap_to_pi(es.angles))))
 

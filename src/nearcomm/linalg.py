@@ -67,23 +67,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ComplexMatrix:
-    """A square finite complex matrix."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(as_square_array(self.mat)))
-
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
-
-
-@dataclass(frozen=True)
 class HermitianMatrix:
     """A matrix certified Hermitian up to the recorded defect |M - M^H|."""
 

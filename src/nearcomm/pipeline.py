@@ -1,11 +1,11 @@
 """End-to-end construction of a commuting unitary pair near an almost-commuting one.
 
 Steps: center each input's spectral gap at angle 0, take the smoothed
-series logarithm of each, rescale the logs into the unit-norm window,
-replace them by the nearest commuting Hermitian pair, exponentiate, and
-undo phases. Every inequality used along the way (commutator
-amplification of the series, Lipschitz bound of the exponential,
-truncation slack) is measured and checked on each run.
+series logarithm of each, replace the two logs by the nearest commuting
+Hermitian pair, exponentiate, and undo phases. Every inequality used
+along the way (commutator amplification of the series, Lipschitz bound
+of the exponential, truncation slack) is measured and checked on each
+run.
 """
 
 from __future__ import annotations
@@ -148,26 +148,6 @@ def log_commutator_bound(
     )
 
 
-def shift_to_unit_window(h: np.ndarray) -> np.ndarray:
-    """Affine map (H - pi*I)/pi taking spectrum from (0, 2pi) into (-1, 1).
-
-    Identity shifts and positive scalings preserve commutators, so the
-    commuting property transports back exactly through the inverse.
-    """
-    a = as_square_array(h)
-    out = a.copy()
-    np.fill_diagonal(out, out.diagonal() - np.pi)
-    return out / np.pi
-
-
-def unshift_from_unit_window(h: np.ndarray) -> np.ndarray:
-    """Inverse of shift_to_unit_window: pi*H + pi*I."""
-    a = as_square_array(h)
-    out = a * np.pi
-    np.fill_diagonal(out, out.diagonal() + np.pi)
-    return out
-
-
 def near_commuting_unitaries(
     u, v, opts: PipelineOptions = DEFAULT_OPTIONS
 ) -> PipelineResult:
@@ -213,13 +193,11 @@ def near_commuting_unitaries(
             f"{bound.predicted:.3e} plus slack {slack:.3e}"
         )
 
-    norm_a = shift_to_unit_window(log_u.mat)
-    norm_b = shift_to_unit_window(log_v.mat)
-    pair = nearest_commuting_pair(norm_a, norm_b, opts.jade, tol)
-    a_prime = unshift_from_unit_window(pair.a_prime.mat)
-    b_prime = unshift_from_unit_window(pair.b_prime.mat)
-    herm_dist_a = operator_norm(a_prime - log_u.mat)
-    herm_dist_b = operator_norm(b_prime - log_v.mat)
+    pair = nearest_commuting_pair(log_u.mat, log_v.mat, opts.jade, tol)
+    a_prime = pair.a_prime.mat
+    b_prime = pair.b_prime.mat
+    herm_dist_a = pair.dist_a
+    herm_dist_b = pair.dist_b
 
     x_centered = herm_exp(a_prime, tol)
     y_centered = herm_exp(b_prime, tol)

@@ -145,24 +145,35 @@ def largest_gap(es: Eigensystem) -> GapInfo:
     return GapInfo(center=center, half_width=float(min(length / 2.0, np.pi)), lo=float(lo), hi=float(hi))
 
 
+@dataclass(frozen=True)
+class CenteredUnitary(UnitaryMatrix):
+    """A unitary rotated by center_gap, carrying its gap, now centered at angle 0.
+
+    Consumers that need the gap read it here instead of decomposing the
+    matrix again.
+    """
+
+    gap: GapInfo
+
+
 def center_gap(
     u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[UnitaryMatrix, float, GapInfo]:
+) -> tuple[CenteredUnitary, float, GapInfo]:
     """Rotate a unitary by a scalar phase so its largest gap sits at angle 0.
 
-    Returns (exp(-i*zeta) * U, zeta, recomputed gap). When the gap is
-    already centered the matrix is returned unchanged with zeta = 0.
+    Returns (exp(-i*zeta) * U, zeta, centered gap). The centered gap is the
+    gap found on U moved by -zeta: center 0, the same half-width, and lo/hi
+    shifted mod 2pi.
     """
     a = as_square_array(u, "unitary matrix")
     es = unitary_eigensystem(u if isinstance(u, UnitaryMatrix) else a, tolerances)
     gap = largest_gap(es)
     zeta = gap.center
-    if zeta == 0.0:
-        cu = u if isinstance(u, UnitaryMatrix) else UnitaryMatrix(a, unitarity_defect(a))
-        return cu, 0.0, gap
-    shifted_angles = np.mod(es.angles - zeta, TWO_PI)
-    order = np.argsort(shifted_angles, kind="stable")
-    shifted = Eigensystem(shifted_angles[order], es.basis[:, order])
-    new_gap = largest_gap(shifted)
+    centered = GapInfo(
+        center=0.0,
+        half_width=gap.half_width,
+        lo=float(np.mod(gap.lo - zeta, TWO_PI)),
+        hi=float(np.mod(gap.hi - zeta, TWO_PI)),
+    )
     mat = np.exp(-1j * zeta) * a
-    return UnitaryMatrix(mat, unitarity_defect(mat)), float(zeta), new_gap
+    return CenteredUnitary(mat, unitarity_defect(mat), centered), float(zeta), centered

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .ensembles import gen_almost_commuting_pair
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalError, PreconditionError
 from .pipeline import DEFAULT_OPTIONS, PipelineOptions, near_commuting_unitaries
 
 
@@ -73,7 +73,9 @@ def _fmt(value) -> str:
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return f"{float(value):.17g}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def records_to_csv(records: list[TrialRecord], header_comment: str | None = None) -> str:
@@ -145,7 +147,7 @@ def run_sweep(config: ExperimentConfig, opts: PipelineOptions | None = None) -> 
                         converged=res.converged,
                     )
                 )
-            except Exception:
+            except (PreconditionError, InvalidInputError, NumericalError, np.linalg.LinAlgError):
                 nan = float("nan")
                 records.append(
                     TrialRecord(

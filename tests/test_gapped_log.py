@@ -19,8 +19,8 @@ from nearcomm import (
     laurent_coefficients,
     operator_norm,
     sawtooth_coefficient,
-    smoothed_coefficients,
     center_gap,
+    certified_truncation,
 )
 from nearcomm.gapped_log import ENVELOPE_CONSTANT
 
@@ -81,8 +81,8 @@ class TestKernelTransform:
 
 class TestSmoothedCoefficients:
     def test_c0_is_pi(self):
-        for delta, gamma, order in [(1.0, 0.5, 50), (2.0, 0.3, 20), (3.0, 2.9, 10)]:
-            lc = smoothed_coefficients(delta, gamma, order)
+        for gamma, order in [(0.5, 50), (0.3, 20), (2.9, 10)]:
+            lc = laurent_coefficients(gamma, order)
             assert lc.coefficient(0) == pytest.approx(np.pi, abs=1e-10)
             # mean preservation oracle: the kernel integrates to exactly 1
             mass, _ = quad(
@@ -94,7 +94,7 @@ class TestSmoothedCoefficients:
             assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_envelope_by_construction(self):
-        lc = smoothed_coefficients(1.0, 0.5, 100)
+        lc = laurent_coefficients(0.5, 100)
         k = np.arange(1, 101)
         pos = np.abs(lc.coeffs[lc.trunc_order + 1:])
         assert np.all(pos * lc.gamma * k**4 <= lc.c_emp * (1 + 1e-14))
@@ -102,19 +102,13 @@ class TestSmoothedCoefficients:
         assert np.all(pos <= np.pi)
 
     def test_conjugate_symmetry_exact(self):
-        lc = smoothed_coefficients(1.2, 0.4, 64)
+        lc = laurent_coefficients(0.4, 64)
         for k in range(1, 65):
             assert lc.coefficient(-k) == np.conj(lc.coefficient(k))
 
     def test_tail_formula(self):
-        lc = smoothed_coefficients(1.0, 0.5, 100)
+        lc = laurent_coefficients(0.5, 100)
         assert lc.tail == pytest.approx(2 * lc.c_emp / (3 * 0.5 * 100**3), rel=1e-14)
-
-    def test_rejects_gamma_at_or_above_delta(self):
-        with pytest.raises(PreconditionError):
-            smoothed_coefficients(0.5, 0.5, 10)
-        with pytest.raises(PreconditionError):
-            smoothed_coefficients(0.5, 0.7, 10)
 
     def test_envelope_does_not_grow(self):
         # decay check without plots: the high-k half of the envelope never
@@ -175,6 +169,15 @@ class TestChooseTruncation:
             assert lc.c_emp * gamma**2 <= ENVELOPE_CONSTANT
 
 
+
+class TestCertifiedTruncation:
+    def test_first_estimate_certifies_target(self):
+        for gamma in (0.02, 0.1, 0.37, 1.0, 2.0, 3.1):
+            for target in (1e-3, 1e-6, 1e-8):
+                k = certified_truncation(gamma, target)
+                assert k == choose_truncation(gamma, target)
+                assert laurent_coefficients(gamma, k).tail <= target, (gamma, target)
+
 class TestGappedLog:
     def test_diagonal_example(self):
         u = np.diag([1j, -1j])
@@ -220,6 +223,22 @@ class TestGappedLog:
         with pytest.raises(TruncationError):
             gapped_log(u, 1.0, 3, series_target=1e-9)
 
+    def test_centered_input_matches_plain_array(self):
+        # the gap carried by center_gap's result replaces a second Schur run
+        cu, _, gap = center_gap(gen_gapped_unitary(16, 0.7, 41))
+        gamma = gap.half_width / 2
+        order = choose_truncation(gamma, 1e-6)
+        h_centered, _ = gapped_log(cu, gamma, order)
+        h_plain, _ = gapped_log(cu.mat, gamma, order)
+        assert np.array_equal(h_centered.mat, h_plain.mat)
+
+    def test_centered_and_plain_reject_gamma_beyond_gap(self):
+        cu, _, gap = center_gap(gen_gapped_unitary(16, 0.7, 41))
+        for gamma in (gap.half_width * (1 + 1e-9), 1.1 * gap.half_width):
+            for u in (cu, cu.mat):
+                with pytest.raises(PreconditionError):
+                    gapped_log(u, gamma, 50)
+
 
 class TestDirectLog:
     def test_identity_hits_branch_point(self):
@@ -236,33 +255,3 @@ class TestDirectLog:
         h = direct_log(u)
         assert operator_norm(herm_exp(h).mat - u.mat) <= 1e-8 * 14
 
-
-class TestSmearingKernel:
-    def test_normalization_constant(self):
-        from nearcomm import SmearingKernel
-
-        kern = SmearingKernel(gamma=0.8)
-        assert kern.normalization == pytest.approx(35.0 / (32.0 * 0.8), rel=1e-15)
-
-    def test_unit_mass_and_transform_at_zero(self):
-        from nearcomm import SmearingKernel
-
-        for gamma in (0.2, 1.0, 2.5):
-            kern = SmearingKernel(gamma)
-            mass, _ = quad(kern.density, -gamma, gamma, epsabs=1e-13)
-            assert mass == pytest.approx(1.0, abs=1e-12)
-            assert kern.transform(0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_compact_support(self):
-        from nearcomm import SmearingKernel
-
-        kern = SmearingKernel(0.5)
-        assert kern.density(0.51) == 0.0
-        assert kern.density(-3.0) == 0.0
-        assert kern.density(0.0) == pytest.approx(kern.normalization)
-
-    def test_rejects_nonpositive_width(self):
-        from nearcomm import SmearingKernel
-
-        with pytest.raises(InvalidInputError):
-            SmearingKernel(0.0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nearcomm import (
-    ComplexMatrix,
     HermitianMatrix,
     InvalidInputError,
     ToleranceConfig,
@@ -148,12 +147,6 @@ class TestDefects:
 
 
 class TestTypes:
-    def test_complex_matrix_validates(self):
-        cm = ComplexMatrix(np.eye(3))
-        assert cm.n == 3
-        with pytest.raises(InvalidInputError):
-            ComplexMatrix(np.zeros((2, 3)))
-
     def test_unitary_wrapper(self):
         u = UnitaryMatrix.from_array(np.diag([1j, -1j]))
         assert u.defect <= 1e-15

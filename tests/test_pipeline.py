@@ -15,7 +15,6 @@ from nearcomm import (
     near_commuting_unitaries,
     operator_norm,
 )
-from nearcomm.pipeline import shift_to_unit_window, unshift_from_unit_window
 
 
 def single_term_coefficients() -> LaurentCoefficients:
@@ -57,20 +56,6 @@ class TestLogCommutatorBound:
         lc = single_term_coefficients()
         report = log_commutator_bound(lc, lc, 1.0, delta1=0.5, delta2=0.25)
         assert report.alpha_normalized == pytest.approx(4.0 * 0.5 * 0.25)
-
-
-class TestNormalizationWindow:
-    def test_round_trip(self):
-        rng = np.random.default_rng(31)
-        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = (z + z.conj().T) / 2 + np.pi * np.eye(6)
-        back = unshift_from_unit_window(shift_to_unit_window(h))
-        assert operator_norm(back - h) <= 1e-13 * 6
-
-    def test_spectrum_lands_in_unit_ball(self):
-        h = np.diag([0.3, np.pi, 2 * np.pi - 0.3])
-        w = np.linalg.eigvalsh(shift_to_unit_window(h))
-        assert np.all(np.abs(w) < 1.0)
 
 
 class TestNearCommutingUnitaries:

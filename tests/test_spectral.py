@@ -9,6 +9,7 @@ from nearcomm import (
     ToleranceConfig,
     commutator,
     gen_gapped_unitary,
+    gen_voiculescu_pair,
     haar_unitary,
     largest_gap,
     center_gap,
@@ -127,6 +128,15 @@ class TestCenterGap:
         cu2, zeta2, gap2 = center_gap(cu)
         assert abs(wrap_to_pi(zeta2)) <= 1e-12
         assert gap2.half_width == pytest.approx(gap1.half_width, abs=1e-10)
+
+    def test_tied_arcs_report_the_centered_arc(self):
+        # five equally spaced eigenvalues leave five arcs of equal length;
+        # the returned gap must be the one moved to angle 0, not another tie
+        cu, _, gap = center_gap(np.exp(0.3j) * gen_voiculescu_pair(5)[0].mat)
+        assert gap.center == 0.0
+        assert gap.half_width == pytest.approx(np.pi / 5, abs=1e-12)
+        angles = unitary_eigensystem(cu).angles
+        assert np.min(np.abs(wrap_to_pi(angles))) >= gap.half_width - 1e-12
 
     def test_spectrum_avoids_centered_gap(self):
         for seed in range(5):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nearcomm import ExperimentConfig, InvalidInputError, run_sweep, summarize
+from nearcomm import ExperimentConfig, InvalidInputError, NumericalError, run_sweep, summarize
 from nearcomm.sweep import CSV_FIELDS, records_to_csv
 
 
@@ -88,6 +88,28 @@ class TestRunSweep:
         eps_seen = [rec.eps_target for rec in records]
         assert eps_seen == [1e-2, 1e-2, 1e-3, 1e-3]
 
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(u, v, opts):
+            raise TypeError("bug in the pipeline")
+
+        monkeypatch.setattr("nearcomm.sweep.near_commuting_unitaries", broken)
+        with pytest.raises(TypeError):
+            run_sweep(small_config())
+
+    def test_numerical_failure_becomes_nan_row(self, monkeypatch, tmp_path):
+        def failing(u, v, opts):
+            raise NumericalError("did not converge")
+
+        monkeypatch.setattr("nearcomm.sweep.near_commuting_unitaries", failing)
+        records = run_sweep(small_config(tmp_path=tmp_path))
+        assert len(records) == 4
+        for rec in records:
+            assert math.isnan(rec.dist_u) and not rec.converged
+            assert math.isfinite(rec.eps_actual)
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+        assert len(rows) == 4
+        assert all(row.split(",")[CSV_FIELDS.index("dist_u")] == "nan" for row in rows)
 
 class TestSummarize:
     def test_medians_and_slope(self):
