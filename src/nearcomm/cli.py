@@ -89,6 +89,11 @@ def _cmd_pair(args) -> int:
     v = _load_unitary(args.v)
     opts = PipelineOptions(min_gap=args.min_gap, series_target=args.target)
     result = near_commuting_unitaries(u, v, opts)
+    if not result.converged:
+        print(
+            f"warning: joint diagonalization did not converge after {result.sweeps} sweeps",
+            file=sys.stderr,
+        )
     mtxc.write(args.out_x, result.x.mat)
     mtxc.write(args.out_y, result.y.mat)
     flat = result.flat()

@@ -1,12 +1,13 @@
 """CLI subcommands, output formats, exit codes."""
 
+import dataclasses
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from nearcomm import commutator, herm_exp, operator_norm
+from nearcomm import JadeOptions, cli, commutator, herm_exp, operator_norm
 from nearcomm import mtxc
 from nearcomm.cli import EXIT_OK, EXIT_REJECTED, main
 
@@ -73,13 +74,36 @@ def test_pair_produces_commuting_files(tmp_path, capsys):
     code = main(["pair", str(u_path), str(v_path), "--out-x", str(x_path),
                  "--out-y", str(y_path), "--csv", str(csv_path)])
     assert code == EXIT_OK
-    kv = parse_kv(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    kv = parse_kv(captured.out)
     x, y = mtxc.read(x_path), mtxc.read(y_path)
     assert operator_norm(commutator(x, y)) <= 1e-10 * 6
     assert float(kv["comm_after"]) <= 1e-10 * 6
     header, row = csv_path.read_text().splitlines()
     assert len(header.split(",")) == len(row.split(","))
     assert "dist_u" in header.split(",")
+
+
+def test_pair_warns_when_joint_diagonalization_unconverged(tmp_path, capsys, monkeypatch):
+    u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
+    main(["generate", "pair", "--n", "6", "--delta", "1.0", "--eps", "0.1",
+          "--seed", "4", "--out-u", str(u_path), "--out-v", str(v_path)])
+    capsys.readouterr()
+
+    real = cli.near_commuting_unitaries
+    monkeypatch.setattr(
+        cli,
+        "near_commuting_unitaries",
+        lambda u, v, opts: real(u, v, dataclasses.replace(opts, jade=JadeOptions(max_sweeps=1))),
+    )
+    code = main(["pair", str(u_path), str(v_path), "--out-x", str(tmp_path / "x.mtxc"),
+                 "--out-y", str(tmp_path / "y.mtxc")])
+    assert code == EXIT_OK
+    captured = capsys.readouterr()
+    kv = parse_kv(captured.out)
+    assert kv["converged"] == "0" and kv["sweeps"] == "1"
+    assert captured.err == "warning: joint diagonalization did not converge after 1 sweeps\n"
 
 
 def test_pair_rejects_gapless_with_exit_2(tmp_path, capsys):

@@ -6,13 +6,18 @@ import pytest
 from nearcomm import (
     InvalidInputError,
     JadeOptions,
+    certified_truncation,
+    center_gap,
     commutator,
+    gapped_log,
+    gen_almost_commuting_pair,
     nearest_commuting_pair,
     off_measure,
     operator_norm,
     haar_unitary,
     stream_rng,
 )
+from nearcomm.jointdiag import _rotate_round, _round_robin
 
 
 def random_hermitian(n, rng):
@@ -29,6 +34,62 @@ def commuting_pair(n, seed, spread=2.0):
     a = (q * da) @ q.conj().T
     b = (q * db) @ q.conj().T
     return (a + a.conj().T) / 2, (b + b.conj().T) / 2
+
+
+def plane_rotation(a, b, p, q):
+    """Reference closed-form (c, s) for one plane, computed one plane at a time."""
+    h = np.empty((3, 2), dtype=np.complex128)
+    for col, m in enumerate((a, b)):
+        h[0, col] = m[p, p] - m[q, q]
+        h[1, col] = m[p, q] + m[q, p]
+        h[2, col] = 1j * (m[q, p] - m[p, q])
+    _, vecs = np.linalg.eigh(np.real(h @ h.conj().T))
+    x, y, z = vecs[:, -1]
+    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+        x, y, z = -x, -y, -z
+    c = np.sqrt(0.5 + x / 2.0)
+    return c, 0.5 * (y - 1j * z) / c
+
+
+def series_logs(n, eps, seed):
+    """The two gap-centered series logs the pipeline hands to JD."""
+    logs = []
+    for m in gen_almost_commuting_pair(n, 1.0, eps, seed)[:2]:
+        centered, _, gap = center_gap(m)
+        gamma = gap.half_width / 2.0
+        logs.append(gapped_log(centered, gamma, certified_truncation(gamma, 1e-6))[0].mat)
+    return logs
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 33])
+    def test_rounds_disjoint_and_sweep_covers_each_pair_once(self, n):
+        rounds = _round_robin(n)
+        assert len(rounds) == (n + n % 2 - 1 if n > 1 else 0)
+        seen = []
+        for p, q in rounds:
+            assert np.all(p < q) and np.all(q < n)
+            assert len(set(p) | set(q)) == 2 * len(p)
+            seen.extend(zip(p.tolist(), q.tolist()))
+        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def test_round_equals_rotations_one_at_a_time(self):
+        rng = np.random.default_rng(3)
+        a, b = random_hermitian(9, rng), random_hermitian(9, rng)
+        for p, q in _round_robin(9)[:3]:
+            w = np.stack((a, b, np.eye(9, dtype=np.complex128)))
+            _rotate_round(w, p, q)
+            seq = [a.copy(), b.copy(), np.eye(9, dtype=np.complex128)]
+            for pp, qq in zip(p, q):
+                c, s = plane_rotation(seq[0], seq[1], pp, qq)
+                g = np.array([[c, -np.conj(s)], [s, c]])
+                for m in seq:
+                    m[:, [pp, qq]] = m[:, [pp, qq]] @ g
+                for m in seq[:2]:
+                    m[[pp, qq], :] = g.conj().T @ m[[pp, qq], :]
+            for got, want in zip(w, seq):
+                assert np.max(np.abs(got - want)) <= 1e-14 * 9
+            a, b = w[0], w[1]
 
 
 class TestOffMeasure:
@@ -91,7 +152,7 @@ class TestNearestCommutingPair:
         assert pair.dist_a <= 1e-10 * 6
         assert pair.dist_b <= 1e-10 * 6
 
-    @pytest.mark.parametrize("n", [2, 5, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 12])
     def test_commuting_inputs_recovered(self, n):
         a, b = commuting_pair(n, 400 + n)
         pair = nearest_commuting_pair(a, b)
@@ -111,6 +172,26 @@ class TestNearestCommutingPair:
         pair = nearest_commuting_pair(a, b)
         hist = np.array(pair.off_history)
         assert np.all(np.diff(hist) <= 1e-10 * max(1.0, hist[0]))
+
+    @pytest.mark.parametrize("case", ["random-10", "series-logs-32"])
+    def test_converged_basis_is_a_jacobi_fixed_point(self, case):
+        # oracle independent of visiting order: at a converged basis the
+        # optimal rotation of every plane is the identity; the stop rule
+        # (relative gain <= 1e-12 per sweep) leaves |s| of order 1e-6
+        if case == "random-10":
+            rng = np.random.default_rng(6)
+            a, b = random_hermitian(10, rng), random_hermitian(10, rng)
+        else:
+            a, b = series_logs(32, 1e-2, 21)
+        pair = nearest_commuting_pair(a, b)
+        assert pair.converged
+        q = pair.basis
+        ra, rb = q.conj().T @ a @ q, q.conj().T @ b @ q
+        n = a.shape[0]
+        worst = max(
+            abs(plane_rotation(ra, rb, i, j)[1]) for i in range(n) for j in range(i + 1, n)
+        )
+        assert worst <= 1e-5
 
     def test_distance_sanity(self):
         rng = np.random.default_rng(7)
