@@ -190,6 +190,34 @@ def _measured_gap(u, tolerances: ToleranceConfig) -> float:
     return float(np.min(np.abs(wrap_to_pi(es.angles))))
 
 
+def _paterson_stockmeyer(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_{k=1..K} coeffs[k-1] * a^k for K = len(coeffs), in ~2*sqrt(K) matmuls.
+
+    Paterson & Stockmeyer (SIAM J. Comput. 2:60, 1973; Higham, Functions of
+    Matrices, sec. 4.2): with s = floor(sqrt(K)) the polynomial splits into
+    m = floor(K/s) + 1 blocks B_j = sum_{i<s} c_{js+i} a^i (c_0 = 0, c_k = 0
+    beyond K), all formed by one GEMM of the coefficient table against the
+    baby steps a^0..a^(s-1), then summed by Horner's rule in the giant step
+    a^s: s + m - 1 matmuls in all. Holds the s baby steps and the m
+    blocks at once, about 2*sqrt(K) n x n matrices (22 MB at n = 128,
+    K = 1800).
+    """
+    n, k = a.shape[0], len(coeffs)
+    s = math.isqrt(k)
+    m = k // s + 1
+    baby = np.empty((s, n, n), dtype=np.complex128)
+    baby[0] = np.eye(n)
+    for i in range(1, s):
+        np.matmul(baby[i - 1], a, out=baby[i])
+    giant = baby[s - 1] @ a
+    table = np.zeros(m * s, dtype=np.complex128)
+    table[1:k + 1] = coeffs
+    blocks = (table.reshape(m, s) @ baby.reshape(s, n * n)).reshape(m, n, n)
+    for j in range(m - 2, -1, -1):
+        blocks[j] += blocks[j + 1] @ giant
+    return blocks[0]
+
+
 def gapped_log(
     u,
     gamma: float,
@@ -201,9 +229,9 @@ def gapped_log(
 
     Requires the spectrum of U to stay more than gamma away from angle 0
     (gap centered there) and the certified tail to meet series_target.
-    Positive powers are accumulated by repeated multiplication; the
-    negative half of the series is their conjugate transpose, which makes
-    H exactly Hermitian.
+    The positive half sum_{k>=1} c_k U^k is evaluated by Paterson-Stockmeyer
+    (about 2*sqrt(K) matmuls for K = trunc_order); the negative half is its
+    conjugate transpose, which makes H exactly Hermitian.
     """
     a = as_square_array(u, "unitary matrix")
     target = tolerances.series_target if series_target is None else series_target
@@ -220,12 +248,7 @@ def gapped_log(
             tail=lc.tail,
             target=target,
         )
-    pos = lc.coeffs[lc.trunc_order + 1:]
-    acc = np.zeros_like(a)
-    power = np.eye(a.shape[0], dtype=np.complex128)
-    for k in range(1, trunc_order + 1):
-        power = power @ a
-        acc += pos[k - 1] * power
+    acc = _paterson_stockmeyer(a, lc.coeffs[lc.trunc_order + 1:])
     h = acc + acc.conj().T
     np.fill_diagonal(h, h.diagonal() + np.pi)
     return HermitianMatrix(h, hermiticity_defect(h)), lc

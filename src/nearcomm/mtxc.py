@@ -55,10 +55,11 @@ def loads(text: str) -> np.ndarray:
         if len(fields) != 2 * n:
             raise InvalidInputError(f"row {i}: expected {2 * n} values, found {len(fields)}")
         try:
-            vals = [float(f) for f in fields]
+            vals = np.array([float(f) for f in fields])
         except ValueError as exc:
             raise InvalidInputError(f"row {i}: non-numeric value") from exc
-        out[i] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
+        # viewing the (re, im) pairs keeps the sign of a zero, which re + 1j*im loses
+        out[i] = vals.view(np.complex128)
     return as_square_array(out, "MTXC matrix")
 
 

@@ -14,6 +14,7 @@ from nearcomm import (
     evaluate_smoothed_sawtooth,
     gapped_log,
     gen_gapped_unitary,
+    haar_unitary,
     herm_exp,
     kernel_transform,
     laurent_coefficients,
@@ -22,7 +23,7 @@ from nearcomm import (
     center_gap,
     certified_truncation,
 )
-from nearcomm.gapped_log import ENVELOPE_CONSTANT
+from nearcomm.gapped_log import ENVELOPE_CONSTANT, _paterson_stockmeyer
 
 
 def kernel_transform_quadrature(gamma: float, t: float) -> float:
@@ -238,6 +239,36 @@ class TestGappedLog:
             for u in (cu, cu.mat):
                 with pytest.raises(PreconditionError):
                     gapped_log(u, gamma, 50)
+
+
+def term_by_term(u, coeffs):
+    """Reference: sum_k coeffs[k-1] u^k accumulated one power at a time."""
+    acc = np.zeros_like(u)
+    power = np.eye(u.shape[0], dtype=np.complex128)
+    for c in coeffs:
+        power = power @ u
+        acc += c * power
+    return acc
+
+
+class TestPatersonStockmeyer:
+    # K crosses the perfect squares (s = floor(sqrt K) steps up at 4, 9, 16)
+    # and the block boundaries (K a multiple of s, then one past it)
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 1000])
+    def test_matches_term_by_term(self, n, order):
+        rng = np.random.default_rng(100 * n + order)
+        u = haar_unitary(n, rng)
+        coeffs = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        err = operator_norm(_paterson_stockmeyer(u, coeffs) - term_by_term(u, coeffs))
+        assert err <= 1e-13 * np.sum(np.abs(coeffs))
+
+    def test_narrow_gap_long_series_within_tail(self):
+        # gamma = 0.01 needs K = 25880 terms for the default 1e-6 target
+        u = gen_gapped_unitary(16, 0.02, 7)
+        h, lc = gapped_log(u, 0.01, certified_truncation(0.01, 1e-6))
+        assert lc.trunc_order == 25880
+        assert operator_norm(h.mat - direct_log(u).mat) <= lc.tail
 
 
 class TestDirectLog:

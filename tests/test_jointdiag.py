@@ -136,13 +136,19 @@ class TestNearestCommutingPair:
         rng = np.random.default_rng(8)
         a, b = random_hermitian(2, rng), random_hermitian(2, rng)
         pair = nearest_commuting_pair(a, b)
-        best = np.inf
-        for theta in np.linspace(-np.pi / 4, np.pi / 4, 361):
-            for phi in np.linspace(-np.pi, np.pi, 361):
-                c, s = np.cos(theta), np.sin(theta) * np.exp(1j * phi)
-                g = np.array([[c, -np.conj(s)], [s, c]])
-                ra, rb = g.conj().T @ a @ g, g.conj().T @ b @ g
-                best = min(best, off_measure(ra, rb))
+        # the whole 361 x 361 (theta, phi) grid as one stack of rotations
+        theta, phi = np.meshgrid(
+            np.linspace(-np.pi / 4, np.pi / 4, 361), np.linspace(-np.pi, np.pi, 361), indexing="ij"
+        )
+        c, s = np.cos(theta), np.sin(theta) * np.exp(1j * phi)
+        g = np.stack([np.stack([c, -np.conj(s)], -1), np.stack([s, c], -1)], -2)
+        gh = np.conj(np.swapaxes(g, -1, -2))
+        ra, rb = gh @ a @ g, gh @ b @ g
+        mask = ~np.eye(2, dtype=bool)
+        off = np.sum(np.abs(ra[..., mask]) ** 2 + np.abs(rb[..., mask]) ** 2, axis=-1)
+        i = np.unravel_index(np.argmin(off), off.shape)
+        best = off[i]
+        assert best == pytest.approx(off_measure(ra[i], rb[i]), rel=1e-12)
         assert pair.off_history[-1] <= best + 1e-10
 
     def test_same_matrix_twice(self):

@@ -26,6 +26,18 @@ def test_round_trip_extreme_values():
     assert np.array_equal(back, m)
 
 
+def test_round_trip_keeps_signed_zeros():
+    # -0.0 == 0.0, so compare the bit patterns
+    m = np.array(
+        [
+            [complex(-0.0, 1.0), complex(0.5, -0.0)],
+            [complex(-0.0, -0.0), complex(0.0, -0.0)],
+        ]
+    )
+    back = mtxc.loads(mtxc.dumps(m))
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+
 def test_file_round_trip(tmp_path):
     m = np.diag([1j, -1j, 0.5])
     path = tmp_path / "u.mtxc"
