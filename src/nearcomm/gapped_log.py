@@ -25,8 +25,9 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianMatrix,
     ToleranceConfig,
+    _frozen,
     as_square_array,
-    hermiticity_defect,
+    hermitian_part,
 )
 from .spectral import CenteredUnitary, unitary_eigensystem, wrap_to_pi
 
@@ -104,9 +105,7 @@ class LaurentCoefficients:
     tail: float
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128, copy=True)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs))
 
     def coefficient(self, k: int) -> complex:
         if abs(k) > self.trunc_order:
@@ -222,7 +221,7 @@ def gapped_log(
     u,
     gamma: float,
     trunc_order: int,
-    series_target: float | None = None,
+    series_target: float = 1e-6,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> tuple[HermitianMatrix, LaurentCoefficients]:
     """Hermitian H with exp(iH) = U, summed as sum_k c_k U^k.
@@ -231,27 +230,27 @@ def gapped_log(
     (gap centered there) and the certified tail to meet series_target.
     The positive half sum_{k>=1} c_k U^k is evaluated by Paterson-Stockmeyer
     (about 2*sqrt(K) matmuls for K = trunc_order); the negative half is its
-    conjugate transpose, which makes H exactly Hermitian.
+    conjugate transpose, which makes H exactly Hermitian, so hermitian_part
+    returns it unchanged with defect 0.
     """
     a = as_square_array(u, "unitary matrix")
-    target = tolerances.series_target if series_target is None else series_target
     measured = _measured_gap(u, tolerances)
     if not gamma < measured:
         raise PreconditionError(
             f"smoothing width gamma = {gamma} not below measured gap half-width {measured:.6f}"
         )
     lc = laurent_coefficients(gamma, trunc_order)
-    if lc.tail > target:
+    if lc.tail > series_target:
         raise TruncationError(
-            f"certified tail {lc.tail:.3e} exceeds target {target:.3e}; "
+            f"certified tail {lc.tail:.3e} exceeds target {series_target:.3e}; "
             "increase the truncation order or the smoothing width",
             tail=lc.tail,
-            target=target,
+            target=series_target,
         )
     acc = _paterson_stockmeyer(a, lc.coeffs[lc.trunc_order + 1:])
     h = acc + acc.conj().T
     np.fill_diagonal(h, h.diagonal() + np.pi)
-    return HermitianMatrix(h, hermiticity_defect(h)), lc
+    return hermitian_part(h), lc
 
 
 def direct_log(u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
@@ -267,6 +266,4 @@ def direct_log(u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> Hermitian
         raise BranchPointError(
             f"eigenangle within {np.min(dist):.3e} of the branch point at angle 0"
         )
-    h = (es.basis * es.angles) @ es.basis.conj().T
-    h = (h + h.conj().T) / 2.0
-    return HermitianMatrix(h, hermiticity_defect(h))
+    return hermitian_part((es.basis * es.angles) @ es.basis.conj().T)

@@ -24,8 +24,9 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     HermitianMatrix,
     ToleranceConfig,
+    _frozen,
     as_square_array,
-    hermiticity_defect,
+    hermitian_part,
     operator_norm,
 )
 
@@ -75,9 +76,7 @@ class CommutingHermitianPair:
     off_history: tuple[float, ...]
 
     def __post_init__(self):
-        b = np.array(self.basis, dtype=np.complex128, copy=True)
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "basis", _frozen(self.basis))
 
 
 def off_measure(a, b) -> float:
@@ -155,24 +154,22 @@ def nearest_commuting_pair(
 ) -> CommutingHermitianPair:
     """Exactly commuting Hermitian pair (A', B') near Hermitian (A, B).
 
-    Jacobi sweeps, started from the eigenbasis of A + phi*B, rotate toward
-    a joint near-diagonalizer Q; A' and B' are the diagonal parts in that
-    basis conjugated back. For commuting inputs with simple spectrum this
-    reproduces the pair to rounding. If max_sweeps is exhausted while the
-    objective still improves, the result is flagged unconverged but still
-    commutes exactly.
+    A HermitianMatrix argument is trusted; a plain array is checked by
+    HermitianMatrix.from_array. Jacobi sweeps, started from the eigenbasis
+    of A + phi*B, rotate toward a joint near-diagonalizer Q; A' and B' are
+    the diagonal parts in that basis conjugated back, made exactly
+    Hermitian by hermitian_part. For commuting inputs with simple spectrum
+    this reproduces the pair to rounding. If max_sweeps is exhausted while
+    the objective still improves, the result is flagged unconverged but
+    still commutes exactly.
     """
-    ma = as_square_array(a, "first matrix")
-    mb = as_square_array(b, "second matrix")
+    ma, mb = (
+        m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix.from_array(m, tolerances).mat
+        for m in (a, b)
+    )
     if ma.shape != mb.shape:
         raise InvalidInputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     n = ma.shape[0]
-    for name, m in (("first", ma), ("second", mb)):
-        d = hermiticity_defect(m)
-        if d > tolerances.hermiticity(n):
-            raise InvalidInputError(
-                f"{name} matrix has hermiticity defect {d:.3e}, beyond tolerance"
-            )
 
     _, start = np.linalg.eigh(ma + _WARM_START_WEIGHT * mb)
     w = np.stack((start.conj().T @ ma @ start, start.conj().T @ mb @ start, start))
@@ -195,16 +192,14 @@ def nearest_commuting_pair(
 
     diag_a = np.diag(wa).real
     diag_b = np.diag(wb).real
-    a_prime = (basis * diag_a) @ basis.conj().T
-    b_prime = (basis * diag_b) @ basis.conj().T
-    a_prime = (a_prime + a_prime.conj().T) / 2.0
-    b_prime = (b_prime + b_prime.conj().T) / 2.0
+    a_prime = hermitian_part((basis * diag_a) @ basis.conj().T)
+    b_prime = hermitian_part((basis * diag_b) @ basis.conj().T)
     return CommutingHermitianPair(
-        a_prime=HermitianMatrix(a_prime, hermiticity_defect(a_prime)),
-        b_prime=HermitianMatrix(b_prime, hermiticity_defect(b_prime)),
+        a_prime=a_prime,
+        b_prime=b_prime,
         basis=basis,
-        dist_a=operator_norm(a_prime - ma),
-        dist_b=operator_norm(b_prime - mb),
+        dist_a=operator_norm(a_prime.mat - ma),
+        dist_b=operator_norm(b_prime.mat - mb),
         converged=converged,
         sweeps=sweeps,
         off_history=tuple(history),

@@ -3,8 +3,13 @@
 All matrices are square complex128 arrays. The norm used throughout is the
 operator norm induced by the Euclidean vector norm, i.e. the largest
 singular value. Structural properties (unitarity, hermiticity) are tracked
-as measured defects against configurable tolerances that scale linearly
-with the dimension.
+as defects against configurable tolerances that scale linearly with the
+dimension; the tolerance checks live here, in from_array. A defect is
+measured where a matrix enters from outside (a plain array passed to
+from_array or to a function that takes one) or where rounding can break
+the property (the output of an exponential), and it is recorded as 0 for
+an exact symmetrization (hermitian_part). A typed argument carries its
+certificate and is not measured again.
 """
 
 from __future__ import annotations
@@ -20,18 +25,15 @@ from .errors import InvalidInputError, NumericalError
 class ToleranceConfig:
     """Per-dimension tolerance coefficients.
 
-    unitarity_tol, hermiticity_tol and commute_tol are multiplied by the
-    matrix dimension n where they are applied; series_target is an absolute
-    truncation accuracy for the log series.
+    Each is multiplied by the matrix dimension n where it is applied.
     """
 
     unitarity_tol: float = 1e-8
     hermiticity_tol: float = 1e-8
     commute_tol: float = 1e-10
-    series_target: float = 1e-6
 
     def __post_init__(self):
-        for name in ("unitarity_tol", "hermiticity_tol", "commute_tol", "series_target"):
+        for name in ("unitarity_tol", "hermiticity_tol", "commute_tol"):
             if not getattr(self, name) > 0:
                 raise InvalidInputError(f"{name} must be strictly positive")
 
@@ -60,21 +62,33 @@ def as_square_array(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.complex128, copy=True)
+def _frozen(a, dtype=np.complex128) -> np.ndarray:
+    """A read-only copy of a as dtype."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
-class HermitianMatrix:
-    """A matrix certified Hermitian up to the recorded defect |M - M^H|."""
+class _CertifiedMatrix:
+    """A read-only square matrix with the recorded defect of its structure."""
 
     mat: np.ndarray
     defect: float
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _frozen(as_square_array(self.mat)))
+
+    @property
+    def n(self) -> int:
+        return self.mat.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.mat, dtype=dtype)
+
+
+class HermitianMatrix(_CertifiedMatrix):
+    """A matrix certified Hermitian up to the recorded defect |M - M^H|."""
 
     @classmethod
     def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "HermitianMatrix":
@@ -85,23 +99,9 @@ class HermitianMatrix:
             raise InvalidInputError(f"hermiticity defect {d:.3e} exceeds tolerance {tol:.3e}")
         return cls(a, d)
 
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
-
-
-@dataclass(frozen=True)
-class UnitaryMatrix:
+class UnitaryMatrix(_CertifiedMatrix):
     """A matrix certified unitary up to the recorded defect |M^H M - I|."""
-
-    mat: np.ndarray
-    defect: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(as_square_array(self.mat)))
 
     @classmethod
     def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "UnitaryMatrix":
@@ -112,12 +112,18 @@ class UnitaryMatrix:
             raise InvalidInputError(f"unitarity defect {d:.3e} exceeds tolerance {tol:.3e}")
         return cls(a, d)
 
-    @property
-    def n(self) -> int:
-        return self.mat.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.mat, dtype=dtype)
+def hermitian_part(m) -> HermitianMatrix:
+    """(M + M^H)/2, recorded with defect 0.0.
+
+    No SVD is needed to certify the result: entry (j, i) is computed from
+    the same two numbers as entry (i, j), and in IEEE arithmetic
+    x - y == -(y - x), so the result equals its conjugate transpose
+    exactly. An M that is already exactly Hermitian comes back bit for bit
+    unchanged, up to the sign of a zero entry.
+    """
+    a = as_square_array(m)
+    return HermitianMatrix((a + a.conj().T) / 2.0, 0.0)
 
 
 def operator_norm(m) -> float:
@@ -150,17 +156,16 @@ def hermiticity_defect(m) -> float:
 def herm_exp(h, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> UnitaryMatrix:
     """exp(iH) for Hermitian H, via eigendecomposition.
 
-    The eigendecomposition route keeps the result unitary to rounding and
-    makes the eigenangles of the output equal the eigenvalues of H mod 2pi.
+    A HermitianMatrix is trusted; a plain array is checked by
+    HermitianMatrix.from_array. The eigendecomposition route keeps the
+    result unitary to rounding and makes the eigenangles of the output
+    equal the eigenvalues of H mod 2pi; the output's unitarity is measured.
     """
-    a = as_square_array(h, "hermitian matrix")
-    n = a.shape[0]
-    d = hermiticity_defect(a)
-    tol = tolerances.hermiticity(n)
-    if d > tol:
-        raise InvalidInputError(f"hermiticity defect {d:.3e} exceeds tolerance {tol:.3e}")
+    if not isinstance(h, HermitianMatrix):
+        h = HermitianMatrix.from_array(h, tolerances)
+    n = h.n
     try:
-        w, q = np.linalg.eigh(a)
+        w, q = np.linalg.eigh(h.mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed for {n}x{n} input: {exc}") from exc
     u = (q * np.exp(1j * w)) @ q.conj().T

@@ -180,12 +180,12 @@ def near_commuting_unitaries(
     log_u, coeffs_u = gapped_log(centered_u, gamma1, k1, opts.series_target, tol)
     log_v, coeffs_v = gapped_log(centered_v, gamma2, k2, opts.series_target, tol)
 
-    measured_log_comm = operator_norm(commutator(log_u.mat, log_v.mat))
+    measured_log_comm = operator_norm(commutator(log_u, log_v))
     bound = log_commutator_bound(
         coeffs_u, coeffs_v, eps, gap1.half_width, gap2.half_width, measured_log_comm
     )
     slack = 2.0 * (
-        coeffs_u.tail * operator_norm(log_v.mat) + coeffs_v.tail * operator_norm(log_u.mat)
+        coeffs_u.tail * operator_norm(log_v) + coeffs_v.tail * operator_norm(log_u)
     )
     if measured_log_comm > bound.predicted + slack + 1e-12 * n:
         raise NumericalError(
@@ -193,14 +193,12 @@ def near_commuting_unitaries(
             f"{bound.predicted:.3e} plus slack {slack:.3e}"
         )
 
-    pair = nearest_commuting_pair(log_u.mat, log_v.mat, opts.jade, tol)
-    a_prime = pair.a_prime.mat
-    b_prime = pair.b_prime.mat
+    pair = nearest_commuting_pair(log_u, log_v, opts.jade, tol)
     herm_dist_a = pair.dist_a
     herm_dist_b = pair.dist_b
 
-    x_centered = herm_exp(a_prime, tol)
-    y_centered = herm_exp(b_prime, tol)
+    x_centered = herm_exp(pair.a_prime, tol)
+    y_centered = herm_exp(pair.b_prime, tol)
     exp_dist_a = operator_norm(x_centered.mat - herm_exp(log_u, tol).mat)
     exp_dist_b = operator_norm(y_centered.mat - herm_exp(log_v, tol).mat)
     if exp_dist_a > herm_dist_a + 1e-10 * n or exp_dist_b > herm_dist_b + 1e-10 * n:

@@ -19,6 +19,7 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     UnitaryMatrix,
+    _frozen,
     as_square_array,
     unitarity_defect,
 )
@@ -48,12 +49,8 @@ class Eigensystem:
     basis: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.angles, dtype=float, copy=True)
-        b = np.array(self.basis, dtype=np.complex128, copy=True)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "angles", a)
-        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "angles", _frozen(self.angles, np.float64))
+        object.__setattr__(self, "basis", _frozen(self.basis))
 
     @property
     def n(self) -> int:
@@ -82,15 +79,14 @@ class GapInfo:
 def unitary_eigensystem(
     u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> Eigensystem:
-    """Eigenangles and orthonormal eigenbasis of a unitary matrix."""
-    a = as_square_array(u, "unitary matrix")
-    n = a.shape[0]
+    """Eigenangles and orthonormal eigenbasis of a unitary matrix.
+
+    A UnitaryMatrix is trusted; a plain array is checked by
+    UnitaryMatrix.from_array.
+    """
     if not isinstance(u, UnitaryMatrix):
-        d = unitarity_defect(a)
-        if d > tolerances.unitarity(n):
-            raise InvalidInputError(
-                f"unitarity defect {d:.3e} exceeds tolerance {tolerances.unitarity(n):.3e}"
-            )
+        u = UnitaryMatrix.from_array(u, tolerances)
+    a, n = u.mat, u.n
     try:
         t, z = scipy.linalg.schur(a, output="complex")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -166,7 +162,7 @@ def center_gap(
     shifted mod 2pi.
     """
     a = as_square_array(u, "unitary matrix")
-    es = unitary_eigensystem(u if isinstance(u, UnitaryMatrix) else a, tolerances)
+    es = unitary_eigensystem(u, tolerances)
     gap = largest_gap(es)
     zeta = gap.center
     centered = GapInfo(

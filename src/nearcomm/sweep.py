@@ -12,13 +12,13 @@ from __future__ import annotations
 import datetime
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .ensembles import gen_almost_commuting_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
-from .pipeline import DEFAULT_OPTIONS, PipelineOptions, near_commuting_unitaries
+from .pipeline import PipelineOptions, near_commuting_unitaries
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,14 @@ class SweepSummary:
     slope: float
 
 
-def run_sweep(config: ExperimentConfig, opts: PipelineOptions | None = None) -> list[TrialRecord]:
+def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     """All (epsilon, trial) cells through the pipeline, in deterministic order.
 
+    The pipeline runs with its default options and config.series_target.
     Failed trials are recorded with NaN measurements rather than aborting
     the sweep. If config.out_path is set the records are persisted as CSV.
     """
-    if opts is None:
-        opts = PipelineOptions(
-            min_gap=DEFAULT_OPTIONS.min_gap,
-            series_target=config.series_target,
-        )
+    opts = PipelineOptions(series_target=config.series_target)
     records: list[TrialRecord] = []
     for i, eps in enumerate(config.epsilons):
         for t in range(config.trials):

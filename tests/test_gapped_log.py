@@ -16,8 +16,10 @@ from nearcomm import (
     gen_gapped_unitary,
     haar_unitary,
     herm_exp,
+    hermiticity_defect,
     kernel_transform,
     laurent_coefficients,
+    nearest_commuting_pair,
     operator_norm,
     sawtooth_coefficient,
     center_gap,
@@ -201,6 +203,11 @@ class TestGappedLog:
         u, _, _ = center_gap(gen_gapped_unitary(12, 0.7, 5))
         h, lc = gapped_log(u, 0.35, choose_truncation(0.35, 1e-6))
         assert h.defect <= 1e-12 * 12 * lc.trunc_order
+        # every exactly symmetrized result records defect 0, and measuring agrees
+        oracle = direct_log(u)
+        pair = nearest_commuting_pair(h, oracle)
+        for m in (h, oracle, pair.a_prime, pair.b_prime):
+            assert m.defect == 0.0 == hermiticity_defect(m.mat)
 
     def test_spectrum_in_branch_window(self):
         u, _, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nearcomm import (
+    HermitianMatrix,
     InvalidInputError,
     JadeOptions,
     certified_truncation,
@@ -232,6 +233,19 @@ class TestNearestCommutingPair:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
             nearest_commuting_pair(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    def test_typed_and_plain_inputs_agree(self):
+        # a typed argument skips the hermiticity check, nothing else
+        rng = np.random.default_rng(8)
+        a, b = (HermitianMatrix.from_array(random_hermitian(6, rng)) for _ in range(2))
+        typed, plain = nearest_commuting_pair(a, b), nearest_commuting_pair(a.mat, b.mat)
+        for t, p in ((typed.a_prime.mat, plain.a_prime.mat),
+                     (typed.b_prime.mat, plain.b_prime.mat),
+                     (typed.basis, plain.basis)):
+            assert np.array_equal(t.view(np.uint64), p.view(np.uint64))
+        assert (typed.dist_a, typed.dist_b, typed.sweeps, typed.off_history) == (
+            plain.dist_a, plain.dist_b, plain.sweeps, plain.off_history
+        )
 
     def test_rejects_mismatched(self):
         with pytest.raises(InvalidInputError):

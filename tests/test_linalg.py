@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nearcomm import (
     HermitianMatrix,
@@ -17,6 +20,7 @@ from nearcomm import (
     unitarity_defect,
     unitary_eigensystem,
 )
+from nearcomm.linalg import hermitian_part
 
 RNG = np.random.default_rng(20240811)
 
@@ -129,6 +133,53 @@ class TestHermExp:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
             herm_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_typed_and_plain_inputs_agree(self):
+        # a typed argument skips the hermiticity check, nothing else
+        h = HermitianMatrix.from_array(random_hermitian(7) + 1e-12 * random_complex(7))
+        assert h.defect > 0.0
+        typed, plain = herm_exp(h), herm_exp(h.mat)
+        assert np.array_equal(typed.mat.view(np.uint64), plain.mat.view(np.uint64))
+        assert typed.defect == plain.defect
+
+
+@st.composite
+def complex_matrices(draw):
+    """n x n complex matrices, n in 1..12, with many entries exactly +0.0 or -0.0."""
+    n = draw(st.integers(1, 12))
+    part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+    parts = draw(arrays(np.float64, (n, 2 * n), elements=part))
+    return parts.view(np.complex128)
+
+
+def zero_blind_bits(m):
+    """Bit patterns of the entries, with -0.0 read as +0.0.
+
+    Conjugation flips the sign of a zero imaginary part, so no matrix with
+    a real diagonal equals its conjugate transpose in the sign bits of its
+    zeros, and numpy's complex division by 2 may flip the sign of a zero;
+    every other bit is compared.
+    """
+    return np.ascontiguousarray(m + 0.0).view(np.uint64)
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+class TestHermitianPart:
+    @PROPERTY
+    @given(complex_matrices())
+    def test_exactly_hermitian_with_zero_defect(self, m):
+        out = hermitian_part(m)
+        assert np.array_equal(zero_blind_bits(out.mat), zero_blind_bits(out.mat.conj().T))
+        assert out.defect == hermiticity_defect(out.mat) == 0.0
+
+    @PROPERTY
+    @given(complex_matrices())
+    def test_hermitian_input_comes_back_bit_identical(self, m):
+        # its own output, and the A + A^H form gapped_log symmetrizes
+        for h in (hermitian_part(m).mat, m + m.conj().T):
+            assert np.array_equal(zero_blind_bits(hermitian_part(h).mat), zero_blind_bits(h))
 
 
 class TestDefects:
