@@ -32,7 +32,6 @@ from .gapped_log import (
     gapped_log,
     kernel_transform,
     laurent_coefficients,
-    sawtooth_coefficient,
 )
 from .jointdiag import (
     CommutingHermitianPair,
@@ -112,7 +111,6 @@ __all__ = [
     "off_measure",
     "operator_norm",
     "run_sweep",
-    "sawtooth_coefficient",
     "stream_rng",
     "summarize",
     "unitarity_defect",

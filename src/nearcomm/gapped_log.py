@@ -8,9 +8,12 @@ conditionally. Convolving f with the compactly supported bump
 
 normalized to unit mass, leaves f unchanged on (gamma, 2pi - gamma) while
 damping the coefficients by the bump's transform, which decays like
-1/(gamma*k)^4. Summing the damped series in powers of a unitary U whose
-spectrum stays at least gamma away from angle 0 yields a Hermitian H with
-exp(iH) = U, plus a certified truncation tail.
+1/(gamma*k)^4. The truncated series g_K(U) = sum_{|k|<=K} c_k U^k of a
+unitary U whose spectrum stays at least gamma away from angle 0 is a
+Hermitian H with exp(iH) = U up to a certified truncation tail. U is
+normal, so g_K(U) = Z diag(g_K(theta)) Z^H on its eigensystem (Higham,
+Functions of Matrices, 2008, ch. 4): the series is summed on the
+eigenangles, never in matrix powers.
 """
 
 from __future__ import annotations
@@ -21,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, InvalidInputError, PreconditionError, TruncationError
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    HermitianMatrix,
-    ToleranceConfig,
-    _frozen,
-    as_square_array,
-    hermitian_part,
-)
+from .linalg import DEFAULT_TOLERANCES, HermitianMatrix, ToleranceConfig, _frozen, hermitian_part
 from .spectral import CenteredUnitary, unitary_eigensystem, wrap_to_pi
 
 # Decay constant of the coefficient envelope |c_k| <= C/(gamma*k^4):
@@ -47,13 +43,6 @@ _TAYLOR_COEFFS = np.array(
         for m in range(18)
     ]
 )
-
-
-def sawtooth_coefficient(k: int) -> complex:
-    """Fourier coefficient of the periodic ramp theta on [0, 2pi)."""
-    if k == 0:
-        return complex(np.pi)
-    return 1j / k
 
 
 def kernel_transform(gamma: float, t):
@@ -117,6 +106,26 @@ class LaurentCoefficients:
         k = np.arange(-self.trunc_order, self.trunc_order + 1)
         return float(np.sum(np.abs(k) * np.abs(self.coeffs)))
 
+    def evaluate(self, theta) -> np.ndarray:
+        """g_K(theta) = pi + 2 Re sum_{k=1..K} c_k e^{ik*theta}, elementwise.
+
+        With s = floor(sqrt(K)) the index splits as k = j*s + i, 0 <= i < s,
+        and the sum as sum_j e^{ijs*theta} (sum_i c_{js+i} e^{ii*theta}):
+        one product of an (N x s) table of e^{ii*theta} with the (s x m)
+        coefficient blocks, m = floor(K/s) + 1, so N angles never need an
+        N x K table.
+        """
+        theta = np.asarray(theta, dtype=float)
+        t = theta.reshape(-1, 1)
+        order = self.trunc_order
+        s = math.isqrt(order)
+        m = order // s + 1
+        table = np.zeros(m * s, dtype=np.complex128)
+        table[1:order + 1] = self.coeffs[order + 1:]
+        blocks = np.exp(1j * t * np.arange(s)) @ table.reshape(m, s).T
+        total = np.sum(np.exp(1j * t * (s * np.arange(m))) * blocks, axis=1)
+        return (np.pi + 2.0 * total.real).reshape(theta.shape)
+
 
 def laurent_coefficients(gamma: float, trunc_order: int) -> LaurentCoefficients:
     """Coefficients c_k = d_k * X(k) of the smoothed sawtooth, |k| <= K."""
@@ -141,10 +150,7 @@ def evaluate_smoothed_sawtooth(theta: float, gamma: float, trunc_order: int) -> 
     gamma from the jump at 0 (mod 2pi); inside the smoothing window the
     value merely stays in [0, 2pi].
     """
-    lc = laurent_coefficients(gamma, trunc_order)
-    k = np.arange(1, trunc_order + 1)
-    pos = lc.coeffs[lc.trunc_order + 1:]
-    return float(np.pi + 2.0 * np.real(np.sum(pos * np.exp(1j * k * theta))))
+    return float(laurent_coefficients(gamma, trunc_order).evaluate(theta))
 
 
 def choose_truncation(gamma: float, target: float, c_est: float | None = None) -> int:
@@ -177,46 +183,6 @@ def certified_truncation(gamma: float, target: float) -> int:
     return choose_truncation(gamma, target)
 
 
-def _measured_gap(u, tolerances: ToleranceConfig) -> float:
-    """Distance of the spectrum of u from angle 0 (the branch cut).
-
-    A CenteredUnitary carries the half-width center_gap measured; any other
-    input is decomposed.
-    """
-    if isinstance(u, CenteredUnitary):
-        return u.gap.half_width
-    es = unitary_eigensystem(u, tolerances)
-    return float(np.min(np.abs(wrap_to_pi(es.angles))))
-
-
-def _paterson_stockmeyer(a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_{k=1..K} coeffs[k-1] * a^k for K = len(coeffs), in ~2*sqrt(K) matmuls.
-
-    Paterson & Stockmeyer (SIAM J. Comput. 2:60, 1973; Higham, Functions of
-    Matrices, sec. 4.2): with s = floor(sqrt(K)) the polynomial splits into
-    m = floor(K/s) + 1 blocks B_j = sum_{i<s} c_{js+i} a^i (c_0 = 0, c_k = 0
-    beyond K), all formed by one GEMM of the coefficient table against the
-    baby steps a^0..a^(s-1), then summed by Horner's rule in the giant step
-    a^s: s + m - 1 matmuls in all. Holds the s baby steps and the m
-    blocks at once, about 2*sqrt(K) n x n matrices (22 MB at n = 128,
-    K = 1800).
-    """
-    n, k = a.shape[0], len(coeffs)
-    s = math.isqrt(k)
-    m = k // s + 1
-    baby = np.empty((s, n, n), dtype=np.complex128)
-    baby[0] = np.eye(n)
-    for i in range(1, s):
-        np.matmul(baby[i - 1], a, out=baby[i])
-    giant = baby[s - 1] @ a
-    table = np.zeros(m * s, dtype=np.complex128)
-    table[1:k + 1] = coeffs
-    blocks = (table.reshape(m, s) @ baby.reshape(s, n * n)).reshape(m, n, n)
-    for j in range(m - 2, -1, -1):
-        blocks[j] += blocks[j + 1] @ giant
-    return blocks[0]
-
-
 def gapped_log(
     u,
     gamma: float,
@@ -224,17 +190,18 @@ def gapped_log(
     series_target: float = 1e-6,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> tuple[HermitianMatrix, LaurentCoefficients]:
-    """Hermitian H with exp(iH) = U, summed as sum_k c_k U^k.
+    """Hermitian H = g_K(U) = sum_{|k|<=K} c_k U^k, K = trunc_order, with exp(iH) = U.
 
     Requires the spectrum of U to stay more than gamma away from angle 0
     (gap centered there) and the certified tail to meet series_target.
-    The positive half sum_{k>=1} c_k U^k is evaluated by Paterson-Stockmeyer
-    (about 2*sqrt(K) matmuls for K = trunc_order); the negative half is its
-    conjugate transpose, which makes H exactly Hermitian, so hermitian_part
-    returns it unchanged with defect 0.
+    g_K is summed on the eigenangles: H = Z diag(g_K(theta)) Z^H, made
+    exactly Hermitian by hermitian_part. A CenteredUnitary carries its
+    eigensystem from center_gap; any other input is decomposed here. H is
+    thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
+    weighted_sum() * r of the series in U for the residual r = |U~ - U|.
     """
-    a = as_square_array(u, "unitary matrix")
-    measured = _measured_gap(u, tolerances)
+    es = u.eigensystem if isinstance(u, CenteredUnitary) else unitary_eigensystem(u, tolerances)
+    measured = float(np.min(np.abs(wrap_to_pi(es.angles))))
     if not gamma < measured:
         raise PreconditionError(
             f"smoothing width gamma = {gamma} not below measured gap half-width {measured:.6f}"
@@ -247,10 +214,7 @@ def gapped_log(
             tail=lc.tail,
             target=series_target,
         )
-    acc = _paterson_stockmeyer(a, lc.coeffs[lc.trunc_order + 1:])
-    h = acc + acc.conj().T
-    np.fill_diagonal(h, h.diagonal() + np.pi)
-    return hermitian_part(h), lc
+    return hermitian_part((es.basis * lc.evaluate(es.angles)) @ es.basis.conj().T), lc
 
 
 def direct_log(u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:

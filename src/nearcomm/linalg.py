@@ -9,11 +9,13 @@ measured where a matrix enters from outside (a plain array passed to
 from_array or to a function that takes one) or where rounding can break
 the property (the output of an exponential), and it is recorded as 0 for
 an exact symmetrization (hermitian_part). A typed argument carries its
-certificate and is not measured again.
+certificate and is not measured again; a HermitianMatrix is built only
+with a defect its O(n^2) Frobenius bound does not contradict.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +90,21 @@ class _CertifiedMatrix:
 
 
 class HermitianMatrix(_CertifiedMatrix):
-    """A matrix certified Hermitian up to the recorded defect |M - M^H|."""
+    """A matrix certified Hermitian up to the recorded defect |M - M^H|.
+
+    Construction rejects a defect the matrix contradicts: |M - M^H|_F <=
+    sqrt(n) |M - M^H|, so a Frobenius norm above sqrt(n) * defect (plus a
+    relative rounding margin) proves it too small. O(n^2); exact at 0.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        skew = float(np.linalg.norm(self.mat - self.mat.conj().T))
+        if not skew <= math.sqrt(self.n) * self.defect * (1.0 + 1e-9):
+            raise InvalidInputError(
+                f"recorded hermiticity defect {self.defect:.3e} is below the measured "
+                f"|M - M^H|_F / sqrt(n) = {skew / math.sqrt(self.n):.3e}"
+            )
 
     @classmethod
     def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "HermitianMatrix":

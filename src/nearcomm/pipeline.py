@@ -156,6 +156,20 @@ def near_commuting_unitaries(
     Rejects inputs whose largest spectral gap half-width is at or below
     opts.min_gap. The returned pair commutes within the commute tolerance;
     the result carries all measured distances and the bound report.
+
+    Each log H_u = g_K(U~) is summed on the eigensystem center_gap found,
+    so it is a function of the reconstruction U~ = Z e^{i*Theta} Z^H, not
+    of U; r_u = |U~ - U| is the residual that eigensystem carries. The two
+    checks on the way account for it:
+
+    - Log commutator. |U~^k - U^k| <= |k| r_u, so H_u = P_u + D_u with P_u
+      the series in U itself and |D_u| <= e_u = tail_u + weighted_sum_u*r_u
+      (the tail term is kept as margin). Then
+          |[H_u, H_v]| <= |[P_u, P_v]| + |[D_u, H_v]| + |[P_u, D_v]|
+                       <= eps*alpha + 2 e_u |H_v| + 2 e_v (|H_u| + e_u).
+    - Distance. On the spectrum |e^{i g_K(theta)} - e^{i theta}| <= tail_u,
+      so exp(iH_u) is within tail_u of U~, hence within tail_u + r_u of U,
+      and |X - U| <= |A' - H_u| + tail_u + r_u.
     """
     tol = opts.tolerances
     a_u = as_square_array(u, "U")
@@ -184,9 +198,11 @@ def near_commuting_unitaries(
     bound = log_commutator_bound(
         coeffs_u, coeffs_v, eps, gap1.half_width, gap2.half_width, measured_log_comm
     )
-    slack = 2.0 * (
-        coeffs_u.tail * operator_norm(log_v) + coeffs_v.tail * operator_norm(log_u)
-    )
+    r_u = centered_u.eigensystem.residual
+    r_v = centered_v.eigensystem.residual
+    err_u = coeffs_u.tail + coeffs_u.weighted_sum() * r_u
+    err_v = coeffs_v.tail + coeffs_v.weighted_sum() * r_v
+    slack = 2.0 * (err_u * operator_norm(log_v) + err_v * (operator_norm(log_u) + err_u))
     if measured_log_comm > bound.predicted + slack + 1e-12 * n:
         raise NumericalError(
             f"log commutator {measured_log_comm:.3e} exceeds predicted bound "
@@ -206,10 +222,10 @@ def near_commuting_unitaries(
 
     dist_u = operator_norm(x_centered.mat - centered_u.mat)
     dist_v = operator_norm(y_centered.mat - centered_v.mat)
-    if dist_u > herm_dist_a + coeffs_u.tail + 1e-10 * n:
-        raise NumericalError("distance to X exceeds log distance plus tail slack")
-    if dist_v > herm_dist_b + coeffs_v.tail + 1e-10 * n:
-        raise NumericalError("distance to Y exceeds log distance plus tail slack")
+    if dist_u > herm_dist_a + coeffs_u.tail + r_u + 1e-10 * n:
+        raise NumericalError("distance to X exceeds log distance plus tail and residual slack")
+    if dist_v > herm_dist_b + coeffs_v.tail + r_v + 1e-10 * n:
+        raise NumericalError("distance to Y exceeds log distance plus tail and residual slack")
 
     x_mat = np.exp(1j * zeta1) * x_centered.mat
     y_mat = np.exp(1j * zeta2) * y_centered.mat

@@ -42,19 +42,18 @@ class Eigensystem:
     """Eigenangles in [0, 2pi), ascending, with an orthonormal eigenbasis.
 
     basis column j is the eigenvector belonging to angles[j]; the matrix is
-    reconstructed as sum_j exp(i*angles[j]) v_j v_j^H.
+    reconstructed as sum_j exp(i*angles[j]) v_j v_j^H. residual is the
+    measured operator norm of that reconstruction minus the matrix it was
+    computed from (0 for an eigensystem given exactly).
     """
 
     angles: np.ndarray
     basis: np.ndarray
+    residual: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "angles", _frozen(self.angles, np.float64))
         object.__setattr__(self, "basis", _frozen(self.basis))
-
-    @property
-    def n(self) -> int:
-        return len(self.angles)
 
     def reconstruct(self) -> np.ndarray:
         return (self.basis * np.exp(1j * self.angles)) @ self.basis.conj().T
@@ -104,7 +103,7 @@ def unitary_eigensystem(
     resid = float(np.linalg.norm(es.reconstruct() - a, ord=2))
     if resid > 1e-8 * n:
         raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
-    return es
+    return Eigensystem(es.angles, es.basis, resid)
 
 
 def _arcs(angles: np.ndarray):
@@ -143,13 +142,13 @@ def largest_gap(es: Eigensystem) -> GapInfo:
 
 @dataclass(frozen=True)
 class CenteredUnitary(UnitaryMatrix):
-    """A unitary rotated by center_gap, carrying its gap, now centered at angle 0.
+    """A unitary rotated by center_gap, carrying the eigensystem it found.
 
-    Consumers that need the gap read it here instead of decomposing the
-    matrix again.
+    The angles are shifted by -zeta (ascending in [0, 2pi), the gap around
+    0); the residual, measured on U, is unchanged by the scalar phase.
     """
 
-    gap: GapInfo
+    eigensystem: Eigensystem
 
 
 def center_gap(
@@ -159,7 +158,8 @@ def center_gap(
 
     Returns (exp(-i*zeta) * U, zeta, centered gap). The centered gap is the
     gap found on U moved by -zeta: center 0, the same half-width, and lo/hi
-    shifted mod 2pi.
+    shifted mod 2pi. The rotated matrix carries U's eigensystem with the
+    angles moved the same way.
     """
     a = as_square_array(u, "unitary matrix")
     es = unitary_eigensystem(u, tolerances)
@@ -171,5 +171,8 @@ def center_gap(
         lo=float(np.mod(gap.lo - zeta, TWO_PI)),
         hi=float(np.mod(gap.hi - zeta, TWO_PI)),
     )
+    shifted = np.mod(es.angles - zeta, TWO_PI)
+    order = np.argsort(shifted, kind="stable")
+    rotated = Eigensystem(shifted[order], es.basis[:, order], es.residual)
     mat = np.exp(-1j * zeta) * a
-    return CenteredUnitary(mat, unitarity_defect(mat), centered), float(zeta), centered
+    return CenteredUnitary(mat, unitarity_defect(mat), rotated), float(zeta), centered

@@ -14,18 +14,17 @@ from nearcomm import (
     evaluate_smoothed_sawtooth,
     gapped_log,
     gen_gapped_unitary,
-    haar_unitary,
     herm_exp,
     hermiticity_defect,
     kernel_transform,
     laurent_coefficients,
     nearest_commuting_pair,
     operator_norm,
-    sawtooth_coefficient,
     center_gap,
     certified_truncation,
+    unitary_eigensystem,
 )
-from nearcomm.gapped_log import ENVELOPE_CONSTANT, _paterson_stockmeyer
+from nearcomm.gapped_log import ENVELOPE_CONSTANT
 
 
 def kernel_transform_quadrature(gamma: float, t: float) -> float:
@@ -33,18 +32,6 @@ def kernel_transform_quadrature(gamma: float, t: float) -> float:
     f = lambda x: (1 - (x / gamma) ** 2) ** 3 * np.cos(t * x)
     val, _ = quad(f, -gamma, gamma, epsabs=1e-13, epsrel=1e-13, limit=500)
     return 35.0 / (32.0 * gamma) * val
-
-
-class TestSawtoothCoefficient:
-    def test_values(self):
-        assert sawtooth_coefficient(0) == complex(np.pi)
-        assert sawtooth_coefficient(2) == 0.5j
-        assert sawtooth_coefficient(-3) == pytest.approx(-1j / 3)
-
-    def test_conjugate_symmetry_and_modulus(self):
-        for k in range(1, 20):
-            assert sawtooth_coefficient(-k) == np.conj(sawtooth_coefficient(k))
-            assert abs(sawtooth_coefficient(k)) == pytest.approx(1.0 / k)
 
 
 class TestKernelTransform:
@@ -232,13 +219,19 @@ class TestGappedLog:
             gapped_log(u, 1.0, 3, series_target=1e-9)
 
     def test_centered_input_matches_plain_array(self):
-        # the gap carried by center_gap's result replaces a second Schur run
-        cu, _, gap = center_gap(gen_gapped_unitary(16, 0.7, 41))
+        # the carried eigensystem is that of U, the plain array's that of
+        # exp(-i*zeta)*U; each H is within weighted_sum * r of the series in
+        # the same matrix
+        u = gen_gapped_unitary(16, 0.7, 41)
+        cu, _, gap = center_gap(u)
         gamma = gap.half_width / 2
         order = choose_truncation(gamma, 1e-6)
-        h_centered, _ = gapped_log(cu, gamma, order)
+        h_centered, lc = gapped_log(cu, gamma, order)
         h_plain, _ = gapped_log(cu.mat, gamma, order)
-        assert np.array_equal(h_centered.mat, h_plain.mat)
+        r_centered = cu.eigensystem.residual
+        r_plain = unitary_eigensystem(cu.mat).residual
+        bound = lc.weighted_sum() * (r_centered + r_plain) + 1e-13 * np.sum(np.abs(lc.coeffs))
+        assert operator_norm(h_centered.mat - h_plain.mat) <= bound
 
     def test_centered_and_plain_reject_gamma_beyond_gap(self):
         cu, _, gap = center_gap(gen_gapped_unitary(16, 0.7, 41))
@@ -259,16 +252,19 @@ def term_by_term(u, coeffs):
 
 
 class TestPatersonStockmeyer:
-    # K crosses the perfect squares (s = floor(sqrt K) steps up at 4, 9, 16)
-    # and the block boundaries (K a multiple of s, then one past it)
+    # H summed on the eigenangles is the matrix series in U itself, up to
+    # weighted_sum * r for the reconstruction residual r. K crosses the
+    # evaluator's block boundaries: s = floor(sqrt K) steps up at 4, 9 and
+    # 16, and K = m*s is followed by K = m*s + 1
     @pytest.mark.parametrize("n", [1, 5, 32])
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 1000])
     def test_matches_term_by_term(self, n, order):
-        rng = np.random.default_rng(100 * n + order)
-        u = haar_unitary(n, rng)
-        coeffs = rng.standard_normal(order) + 1j * rng.standard_normal(order)
-        err = operator_norm(_paterson_stockmeyer(u, coeffs) - term_by_term(u, coeffs))
-        assert err <= 1e-13 * np.sum(np.abs(coeffs))
+        cu, _, gap = center_gap(gen_gapped_unitary(n, 0.6, 100 * n + order))
+        h, lc = gapped_log(cu, gap.half_width / 2, order, series_target=np.inf)
+        t = term_by_term(cu.mat, lc.coeffs[order + 1:])
+        series = t + t.conj().T + np.pi * np.eye(n)
+        bound = lc.weighted_sum() * cu.eigensystem.residual + 1e-13 * np.sum(np.abs(lc.coeffs))
+        assert operator_norm(h.mat - series) <= bound
 
     def test_narrow_gap_long_series_within_tail(self):
         # gamma = 0.01 needs K = 25880 terms for the default 1e-6 target

@@ -182,6 +182,33 @@ class TestHermitianPart:
             assert np.array_equal(zero_blind_bits(hermitian_part(h).mat), zero_blind_bits(h))
 
 
+@st.composite
+def near_hermitian_matrices(draw):
+    """An exactly Hermitian matrix plus a perturbation inside the default tolerance."""
+    m = draw(complex_matrices())
+    n = m.shape[0]
+    bump = draw(arrays(np.float64, (n, 2 * n), elements=st.floats(-1e-9, 1e-9)))
+    return hermitian_part(m).mat + bump.view(np.complex128)
+
+
+class TestHermitianConstructor:
+    def test_rejects_a_defect_the_matrix_contradicts(self):
+        with pytest.raises(InvalidInputError):
+            HermitianMatrix([[0, 1], [0, 0]], 0.0)
+        with pytest.raises(InvalidInputError):
+            HermitianMatrix([[0, 1], [0, 0]], 0.5)
+        assert HermitianMatrix([[0, 1], [0, 0]], 1.0).defect == 1.0
+
+    def test_unitary_positional_constructor_unchanged(self):
+        assert UnitaryMatrix(np.eye(4, dtype=complex), 0.0).defect == 0.0
+
+    @PROPERTY
+    @given(near_hermitian_matrices())
+    def test_from_array_and_hermitian_part_outputs_construct(self, m):
+        for h in (HermitianMatrix.from_array(m), hermitian_part(m)):
+            assert HermitianMatrix(h.mat, h.defect).defect == h.defect
+
+
 class TestDefects:
     def test_identity_zero(self):
         assert unitarity_defect(np.eye(3)) == 0.0

@@ -2,16 +2,23 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nearcomm import (
     GapTooSmallError,
     LaurentCoefficients,
     PipelineOptions,
+    center_gap,
+    choose_truncation,
+    cli,
     commutator,
+    gapped_log,
     gen_almost_commuting_pair,
+    gen_gapped_unitary,
     gen_voiculescu_pair,
     laurent_coefficients,
     log_commutator_bound,
+    mtxc,
     near_commuting_unitaries,
     operator_norm,
 )
@@ -130,3 +137,40 @@ class TestNearCommutingUnitaries:
         flat = res.flat()
         for key in ("dist_u", "dist_v", "comm_after", "predicted_bound", "trunc_order1"):
             assert key in flat
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """A list that grows by one entry per scipy.linalg.schur call."""
+    calls = []
+    schur = scipy.linalg.schur
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    return calls
+
+
+class TestDecompositionCounts:
+    """Each input is decomposed once; the logs reuse center_gap's eigensystem."""
+
+    def test_pair_decomposes_each_input_once(self, schur_calls):
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+        schur_calls.clear()
+        near_commuting_unitaries(u, v)
+        assert len(schur_calls) == 2
+
+    def test_cli_log_decomposes_once(self, schur_calls, tmp_path, capsys):
+        u_path = tmp_path / "u.mtxc"
+        mtxc.write(u_path, gen_gapped_unitary(8, 1.0, 3).mat)
+        assert cli.main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc")]) == cli.EXIT_OK
+        assert len(schur_calls) == 1
+
+    def test_gapped_log_on_centered_input_decomposes_nothing(self, schur_calls):
+        cu, _, gap = center_gap(gen_gapped_unitary(8, 1.0, 3))
+        schur_calls.clear()
+        gamma = gap.half_width / 2
+        gapped_log(cu, gamma, choose_truncation(gamma, 1e-6))
+        assert schur_calls == []

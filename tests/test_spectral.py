@@ -138,6 +138,18 @@ class TestCenterGap:
         angles = unitary_eigensystem(cu).angles
         assert np.min(np.abs(wrap_to_pi(angles))) >= gap.half_width - 1e-12
 
+    def test_carries_the_rotated_eigensystem(self):
+        # the phase moves the gap away from 0, so the shift reorders the angles
+        u = np.exp(2j) * gen_gapped_unitary(12, 0.5, 7).mat
+        cu, zeta, gap = center_gap(u)
+        es, plain = cu.eigensystem, unitary_eigensystem(u)
+        assert np.all(np.diff(es.angles) >= 0)
+        assert np.all((es.angles >= 0) & (es.angles < TWO_PI))
+        assert np.min(np.abs(wrap_to_pi(es.angles))) == pytest.approx(gap.half_width, abs=1e-12)
+        assert np.allclose(np.sort(np.mod(plain.angles - zeta, TWO_PI)), es.angles, atol=1e-15)
+        assert es.residual == plain.residual > 0.0
+        assert operator_norm(es.reconstruct() - cu.mat) <= es.residual + 1e-14
+
     def test_spectrum_avoids_centered_gap(self):
         for seed in range(5):
             u = haar_unitary(9, stream_rng(100, seed))
