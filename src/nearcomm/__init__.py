@@ -5,7 +5,7 @@ leave an empty arc on the unit circle, the pipeline produces an exactly
 commuting unitary pair nearby: it centers each gap at angle 0, takes a
 smoothed Fourier-series matrix logarithm with a certified truncation tail,
 replaces the two Hermitian logs by the nearest commuting pair found by
-Jacobi joint diagonalization, and exponentiates back.
+joint approximate diagonalization, and exponentiates back.
 """
 
 from .ensembles import (

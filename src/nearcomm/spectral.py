@@ -81,7 +81,10 @@ def unitary_eigensystem(
     """Eigenangles and orthonormal eigenbasis of a unitary matrix.
 
     A UnitaryMatrix is trusted; a plain array is checked by
-    UnitaryMatrix.from_array.
+    UnitaryMatrix.from_array. The reconstruction residual must stay within
+    tolerances.unitarity(n); when it does not, the input's unitarity defect
+    is measured, so a non-unitary input is rejected as invalid rather than
+    reported as a numerical failure.
     """
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix.from_array(u, tolerances)
@@ -101,7 +104,12 @@ def unitary_eigensystem(
     order = np.argsort(angles, kind="stable")
     es = Eigensystem(angles[order], z[:, order])
     resid = float(np.linalg.norm(es.reconstruct() - a, ord=2))
-    if resid > 1e-8 * n:
+    tol = tolerances.unitarity(n)
+    if resid > tol:
+        # a trusted UnitaryMatrix may carry a defect it does not have
+        defect = unitarity_defect(a)
+        if defect > tol:
+            raise InvalidInputError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}")
         raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
     return Eigensystem(es.angles, es.basis, resid)
 

@@ -18,7 +18,7 @@ from nearcomm import (
     haar_unitary,
     stream_rng,
 )
-from nearcomm.jointdiag import _rotate_round, _round_robin
+from nearcomm.jointdiag import _newton_generator
 
 
 def random_hermitian(n, rng):
@@ -62,35 +62,46 @@ def series_logs(n, eps, seed):
     return logs
 
 
-class TestRoundRobin:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 33])
-    def test_rounds_disjoint_and_sweep_covers_each_pair_once(self, n):
-        rounds = _round_robin(n)
-        assert len(rounds) == (n + n % 2 - 1 if n > 1 else 0)
-        seen = []
-        for p, q in rounds:
-            assert np.all(p < q) and np.all(q < n)
-            assert len(set(p) | set(q)) == 2 * len(p)
-            seen.extend(zip(p.tolist(), q.tolist()))
-        assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def test_round_equals_rotations_one_at_a_time(self):
+class TestNewtonGenerator:
+    def test_skew_hermitian(self):
         rng = np.random.default_rng(3)
         a, b = random_hermitian(9, rng), random_hermitian(9, rng)
-        for p, q in _round_robin(9)[:3]:
-            w = np.stack((a, b, np.eye(9, dtype=np.complex128)))
-            _rotate_round(w, p, q)
-            seq = [a.copy(), b.copy(), np.eye(9, dtype=np.complex128)]
-            for pp, qq in zip(p, q):
-                c, s = plane_rotation(seq[0], seq[1], pp, qq)
-                g = np.array([[c, -np.conj(s)], [s, c]])
-                for m in seq:
-                    m[:, [pp, qq]] = m[:, [pp, qq]] @ g
-                for m in seq[:2]:
-                    m[[pp, qq], :] = g.conj().T @ m[[pp, qq], :]
-            for got, want in zip(w, seq):
-                assert np.max(np.abs(got - want)) <= 1e-14 * 9
-            a, b = w[0], w[1]
+        x, d = _newton_generator(a, b)
+        assert np.array_equal(x, -x.conj().T)
+        assert np.all(np.abs(x) <= 1.0 + 1e-15) and np.all(d >= 0)
+
+    @pytest.mark.parametrize("eta", [1e-2, 1e-3, 1e-4])
+    def test_2x2_matches_closed_form_plane_angle_to_first_order(self, eta):
+        # the closed-form rotation is G = [[c, -conj(s)], [s, c]] = I + X + O(eta^2)
+        a = np.array([[1.0, eta * (0.7 + 0.2j)], [eta * (0.7 - 0.2j), -0.5]])
+        b = np.array([[0.3, eta * (-0.4 + 0.9j)], [eta * (-0.4 - 0.9j), 0.8]])
+        x, _ = _newton_generator(a, b)
+        _, s = plane_rotation(a, b, 0, 1)
+        assert abs(x[1, 0] - s) <= eta**2
+        assert x[0, 0] == x[1, 1] == 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_small_eps_series_logs_converge_in_few_iterations(self, seed):
+        # bounded work near the rounding floor: steps of ~1e-14 that still
+        # lower off by ~1e-12 relative must not run on to max_sweeps
+        a, b = series_logs(32, 1e-4, seed)
+        pair = nearest_commuting_pair(a, b)
+        assert pair.converged
+        assert pair.sweeps <= 10
+
+    def test_exact_ties_stay_finite(self):
+        # planes whose diagonals tie in both matrices have no first-order
+        # direction; they must not divide by zero
+        a = np.array([[1, 0.3, 0], [0.3, 1, 0], [0, 0, 2]], dtype=float)
+        b = np.array([[0, -0.2, 0], [-0.2, 0, 0], [0, 0, 1]], dtype=float)
+        with np.errstate(all="raise"):
+            x, _ = _newton_generator(a, b)
+            pair = nearest_commuting_pair(a, b)
+        assert np.all(x[:2, :2] == 0)
+        for m in (pair.a_prime.mat, pair.b_prime.mat, pair.basis):
+            assert np.all(np.isfinite(m))
+        assert np.all(np.diff(pair.off_history) <= 0)
+        assert operator_norm(commutator(pair.a_prime.mat, pair.b_prime.mat)) <= 1e-12 * 3
 
 
 class TestOffMeasure:
@@ -179,6 +190,14 @@ class TestNearestCommutingPair:
         pair = nearest_commuting_pair(a, b)
         hist = np.array(pair.off_history)
         assert np.all(np.diff(hist) <= 1e-10 * max(1.0, hist[0]))
+
+    def test_line_search_keeps_off_monotone(self):
+        # on this pair the third full step raises off; the halving line
+        # search must shorten it instead of accepting the rise
+        rng = np.random.default_rng(87)
+        a, b = random_hermitian(8, rng), random_hermitian(8, rng)
+        pair = nearest_commuting_pair(a, b)
+        assert np.all(np.diff(pair.off_history) <= 0)
 
     @pytest.mark.parametrize("case", ["random-10", "series-logs-32"])
     def test_converged_basis_is_a_jacobi_fixed_point(self, case):

@@ -16,11 +16,14 @@ from nearcomm import (
     gen_almost_commuting_pair,
     gen_gapped_unitary,
     gen_voiculescu_pair,
+    jointdiag,
     laurent_coefficients,
     log_commutator_bound,
     mtxc,
     near_commuting_unitaries,
+    nearest_commuting_pair,
     operator_norm,
+    pipeline,
 )
 
 
@@ -174,3 +177,37 @@ class TestDecompositionCounts:
         gamma = gap.half_width / 2
         gapped_log(cu, gamma, choose_truncation(gamma, 1e-6))
         assert schur_calls == []
+
+
+def tridiagonal_family(n):
+    """U = exp(0.9*pi*i*diag(j/(n-1))), V = exp(0.9*pi*i*(I + T)/2), T = (S + S^T)/2.
+
+    Both gap half-widths stay near 1.73 while |[U, V]| ~ 4/n, and the
+    distance to a commuting pair shrinks far slower than the commutator.
+    """
+    theta = 0.9 * np.pi * np.arange(n) / (n - 1)
+    t = (np.eye(n, k=1) + np.eye(n, k=-1)) / 2.0
+    return np.diag(np.exp(1j * theta)), scipy.linalg.expm(0.45j * np.pi * (np.eye(n) + t))
+
+
+class TestHardFamily:
+    def test_bounded_work_and_commuting_output(self):
+        n = 16
+        u, v = tridiagonal_family(n)
+        opts = PipelineOptions()
+        res = near_commuting_unitaries(u, v, opts)
+        assert res.comm_after <= opts.tolerances.commute(n)
+        assert res.sweeps <= opts.jade.max_sweeps
+        assert res.converged or res.sweeps == opts.jade.max_sweeps
+
+
+class TestTracedSurface:
+    """The names the benchmark's tracer wraps and the result fields it reads."""
+
+    def test_pipeline_binds_nearest_commuting_pair(self):
+        assert pipeline.nearest_commuting_pair is jointdiag.nearest_commuting_pair
+
+    def test_pair_result_exposes_basis_sweeps_converged(self):
+        pair = nearest_commuting_pair(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+        assert pair.basis.shape == (3, 3)
+        assert isinstance(pair.sweeps, int) and isinstance(pair.converged, bool)

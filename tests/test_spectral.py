@@ -7,6 +7,7 @@ from nearcomm import (
     Eigensystem,
     InvalidInputError,
     ToleranceConfig,
+    UnitaryMatrix,
     commutator,
     gen_gapped_unitary,
     gen_voiculescu_pair,
@@ -51,6 +52,22 @@ class TestEigensystem:
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidInputError):
             unitary_eigensystem(np.diag([1.1, 1.0]))
+
+    @pytest.mark.parametrize("typed", [False, True])
+    def test_non_normal_with_unit_eigenvalues_is_invalid_input(self, typed):
+        # eigenvalues 1 and -1 pass the modulus check; only the residual
+        # sees the matrix is not unitary, typed with a false defect or not
+        m = np.array([[1.0, 5.0], [0.0, -1.0]])
+        with pytest.raises(InvalidInputError, match="unitarity defect"):
+            center_gap(UnitaryMatrix(m, 0.0) if typed else m)
+
+    def test_residual_gate_reads_unitarity_tolerance(self):
+        # the residual of this non-normal matrix is 5: rejected at the
+        # default tolerance above, accepted once unitarity(2) exceeds it
+        m = np.array([[1.0, 5.0], [0.0, -1.0]])
+        loose = ToleranceConfig(unitarity_tol=3.0)
+        es = unitary_eigensystem(UnitaryMatrix(m, 0.0), tolerances=loose)
+        assert 4.0 < es.residual <= loose.unitarity(2)
 
     def test_modulus_check_behind_loose_tolerance(self):
         # with the defect gate opened wide, the radial-projection guard fires
