@@ -10,7 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
-from .linalg import UnitaryMatrix, commutator, herm_exp, operator_norm, unitarity_defect
+from .linalg import (
+    UnitaryMatrix,
+    commutator,
+    herm_exp,
+    operator_norm,
+    unitarity_defect,
+    unitary_from_angles,
+)
 from .spectral import TWO_PI, unitary_eigensystem, wrap_to_pi
 
 MAX_REGEN_RETRIES = 8
@@ -42,20 +49,25 @@ def random_hermitian_unit_norm(n: int, rng: np.random.Generator) -> np.ndarray:
     return h / operator_norm(h)
 
 
+def _check_ensemble(n: int, delta: float) -> None:
+    """Reject a dimension below 1 or a gap half-width outside (0, pi)."""
+    if not 0 < delta < np.pi:
+        raise InvalidInputError(f"delta must lie in (0, pi), got {delta}")
+    if n < 1:
+        raise InvalidInputError(f"dimension must be positive, got {n}")
+
+
 def gen_gapped_unitary(n: int, delta: float, seed: int, *stream: int) -> UnitaryMatrix:
     """Unitary with Haar-random eigenbasis and spectrum avoiding [-delta, delta].
 
     Eigenangles are sampled uniformly from (delta, 2pi - delta), so the
     empty arc around angle 0 has half-width at least delta.
     """
-    if not 0 < delta < np.pi:
-        raise InvalidInputError(f"delta must lie in (0, pi), got {delta}")
-    if n < 1:
-        raise InvalidInputError(f"dimension must be positive, got {n}")
+    _check_ensemble(n, delta)
     rng = stream_rng(seed, *stream)
     angles = rng.uniform(delta, TWO_PI - delta, size=n)
     basis = haar_unitary(n, rng)
-    mat = (basis * np.exp(1j * angles)) @ basis.conj().T
+    mat = unitary_from_angles(basis, angles)
     return UnitaryMatrix(mat, unitarity_defect(mat))
 
 
@@ -75,6 +87,7 @@ def gen_almost_commuting_pair(
     with a fresh sub-stream; a bounded number of retries guards against
     pathological parameters.
     """
+    _check_ensemble(n, delta)
     if eps_target < 0:
         raise InvalidInputError(f"eps_target must be nonnegative, got {eps_target}")
     for attempt in range(MAX_REGEN_RETRIES):
@@ -82,8 +95,8 @@ def gen_almost_commuting_pair(
         angles_u = rng.uniform(delta, TWO_PI - delta, size=n)
         angles_v = rng.uniform(delta, TWO_PI - delta, size=n)
         basis = haar_unitary(n, rng)
-        u0 = (basis * np.exp(1j * angles_u)) @ basis.conj().T
-        v0 = (basis * np.exp(1j * angles_v)) @ basis.conj().T
+        u0 = unitary_from_angles(basis, angles_u)
+        v0 = unitary_from_angles(basis, angles_v)
         g = random_hermitian_unit_norm(n, rng)
         u_mat = herm_exp(eps_target * g).mat @ u0
         u = UnitaryMatrix(u_mat, unitarity_defect(u_mat))

@@ -69,15 +69,20 @@ _MAX_HALVINGS = 8
 class CommutingHermitianPair:
     """Exactly commuting pair with its common eigenbasis and distances.
 
-    a_prime = Q diag(Q^H A Q) Q^H and likewise b_prime, so the commutator
-    of the outputs vanishes to rounding. off_history records the
-    off-diagonal mass in the warm-start basis, then after each sweep;
-    sweeps counts the sweeps taken.
+    basis is the common eigenbasis Q and diag_a, diag_b the real diagonals
+    of Q^H A Q and Q^H B Q, so a_prime = Q diag(diag_a) Q^H and
+    b_prime = Q diag(diag_b) Q^H (made exactly Hermitian), and the
+    commutator of the outputs vanishes to rounding. A function of either
+    output is that function on its diagonal, in the basis Q.
+    off_history records the off-diagonal mass in the warm-start basis,
+    then after each sweep; sweeps counts the sweeps taken.
     """
 
     a_prime: HermitianMatrix
     b_prime: HermitianMatrix
     basis: np.ndarray
+    diag_a: np.ndarray
+    diag_b: np.ndarray
     dist_a: float
     dist_b: float
     converged: bool
@@ -86,6 +91,8 @@ class CommutingHermitianPair:
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _frozen(self.basis))
+        for name in ("diag_a", "diag_b"):
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
 
 
 def off_measure(a, b) -> float:
@@ -188,6 +195,8 @@ def nearest_commuting_pair(
         a_prime=a_prime,
         b_prime=b_prime,
         basis=basis,
+        diag_a=diag_a,
+        diag_b=diag_b,
         dist_a=operator_norm(a_prime.mat - ma),
         dist_b=operator_norm(b_prime.mat - mb),
         converged=converged,

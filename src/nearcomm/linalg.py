@@ -169,6 +169,15 @@ def hermiticity_defect(m) -> float:
     return float(np.linalg.norm(a - a.conj().T, ord=2))
 
 
+def unitary_from_angles(basis, angles) -> np.ndarray:
+    """Q diag(e^{i*phi}) Q^H for an orthonormal basis Q and real angles phi.
+
+    The unitary with eigenvectors the columns of Q and eigenvalues e^{i*phi}:
+    a function of a normal matrix is that function on its eigenvalues.
+    """
+    return (basis * np.exp(1j * angles)) @ basis.conj().T
+
+
 def herm_exp(h, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> UnitaryMatrix:
     """exp(iH) for Hermitian H, via eigendecomposition.
 
@@ -184,7 +193,7 @@ def herm_exp(h, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> UnitaryMatr
         w, q = np.linalg.eigh(h.mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed for {n}x{n} input: {exc}") from exc
-    u = (q * np.exp(1j * w)) @ q.conj().T
+    u = unitary_from_angles(q, w)
     du = unitarity_defect(u)
     if du > tolerances.unitarity(n):
         raise NumericalError(

@@ -22,6 +22,7 @@ from .linalg import (
     _frozen,
     as_square_array,
     unitarity_defect,
+    unitary_from_angles,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -56,7 +57,7 @@ class Eigensystem:
         object.__setattr__(self, "basis", _frozen(self.basis))
 
     def reconstruct(self) -> np.ndarray:
-        return (self.basis * np.exp(1j * self.angles)) @ self.basis.conj().T
+        return unitary_from_angles(self.basis, self.angles)
 
 
 @dataclass(frozen=True)
@@ -114,38 +115,28 @@ def unitary_eigensystem(
     return Eigensystem(es.angles, es.basis, resid)
 
 
-def _arcs(angles: np.ndarray):
-    """Consecutive empty arcs (lo, hi, length) of sorted angles, circularly."""
-    n = len(angles)
-    if n == 1:
-        yield angles[0], angles[0], TWO_PI
-        return
-    for i in range(n):
-        lo = angles[i]
-        hi = angles[(i + 1) % n]
-        length = (hi - lo) if i + 1 < n else (hi + TWO_PI - lo)
-        yield lo, hi, length
-
-
 def largest_gap(es: Eigensystem) -> GapInfo:
     """Widest empty open arc between consecutive eigenangles.
 
-    Ties between equally long arcs are broken by the smallest center in
-    [0, 2pi) so the result is deterministic. The half-width is capped at
-    pi (relevant only when a single distinct eigenvalue leaves the whole
-    punctured circle empty).
+    Arc j runs from angles[j] to the next angle, the last one wrapping
+    through 2pi. Ties between equally long arcs are broken by the smallest
+    center in [0, 2pi), then by the first arc, so the result is
+    deterministic. A single eigenvalue leaves one arc of length exactly
+    2pi; the half-width is capped at pi.
     """
     angles = np.sort(np.asarray(es.angles, dtype=float))
-    if len(angles) < 1:
+    n = len(angles)
+    if n < 1:
         raise InvalidInputError("eigensystem has no angles")
-    best = None
-    for lo, hi, length in _arcs(angles):
-        center = float(np.mod(lo + length / 2.0, TWO_PI))
-        key = (-length, center)
-        if best is None or key < best[0]:
-            best = (key, lo, hi, length, center)
-    _, lo, hi, length, center = best
-    return GapInfo(center=center, half_width=float(min(length / 2.0, np.pi)), lo=float(lo), hi=float(hi))
+    lengths = np.diff(angles, append=angles[0] + TWO_PI) if n > 1 else np.array([TWO_PI])
+    centers = np.mod(angles + lengths / 2.0, TWO_PI)
+    j = int(np.lexsort((centers, -lengths))[0])
+    return GapInfo(
+        center=float(centers[j]),
+        half_width=float(min(lengths[j] / 2.0, np.pi)),
+        lo=float(angles[j]),
+        hi=float(angles[(j + 1) % n]),
+    )
 
 
 @dataclass(frozen=True)

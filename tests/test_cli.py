@@ -133,6 +133,28 @@ def test_log_gamma_out_of_range_rejected(tmp_path, capsys):
     assert main(["log", str(u_path), "--gamma", "3.2"]) == EXIT_REJECTED
 
 
+@pytest.mark.parametrize("delta", ["4", "-1"])
+def test_ensemble_delta_outside_open_interval_rejected(tmp_path, capsys, delta):
+    assert main(["generate", "pair", "--n", "4", "--delta", delta, "--eps", "0.01",
+                 "--seed", "1", "--out-u", str(tmp_path / "u.mtxc"),
+                 "--out-v", str(tmp_path / "v.mtxc")]) == EXIT_REJECTED
+    assert main(["sweep", "--n", "4", "--delta", delta, "--eps-start", "0.01",
+                 "--eps-end", "0.01", "--points", "1", "--trials", "1", "--seed", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == EXIT_REJECTED
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_pair_nan_min_gap_rejected(tmp_path, capsys):
+    u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
+    main(["generate", "pair", "--n", "4", "--delta", "1.0", "--eps", "0.001",
+          "--seed", "4", "--out-u", str(u_path), "--out-v", str(v_path)])
+    capsys.readouterr()
+    assert main(["pair", str(u_path), str(v_path), "--min-gap", "nan",
+                 "--out-x", str(tmp_path / "x.mtxc"),
+                 "--out-y", str(tmp_path / "y.mtxc")]) == EXIT_REJECTED
+    assert not (tmp_path / "x.mtxc").exists()
+
+
 def test_sweep_smoke(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0.01",

@@ -81,6 +81,15 @@ class TestAlmostCommutingPair:
         with pytest.raises(InvalidInputError):
             gen_almost_commuting_pair(4, 1.0, -0.1, 1)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.pi, 4.0, float("nan")])
+    def test_rejects_delta_outside_open_interval(self, delta):
+        with pytest.raises(InvalidInputError):
+            gen_almost_commuting_pair(4, delta, 1e-3, 1)
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(InvalidInputError):
+            gen_almost_commuting_pair(0, 1.0, 1e-3, 1)
+
 
 class TestVoiculescu:
     @pytest.mark.parametrize("n", list(range(2, 129, 7)) + [128])

@@ -235,6 +235,15 @@ class TestNearestCommutingPair:
         da = np.diag(np.diag(q.conj().T @ a @ q).real)
         assert operator_norm(pair.a_prime.mat - q @ da @ q.conj().T) <= 1e-12 * 7
 
+    def test_diagonals_rebuild_the_outputs(self):
+        rng = np.random.default_rng(9)
+        a, b = random_hermitian(7, rng), random_hermitian(7, rng)
+        pair = nearest_commuting_pair(a, b)
+        q = pair.basis
+        for d, out in ((pair.diag_a, pair.a_prime), (pair.diag_b, pair.b_prime)):
+            assert d.dtype == np.float64 and d.shape == (7,) and not d.flags.writeable
+            assert operator_norm(out.mat - (q * d) @ q.conj().T) <= 1e-12 * 7
+
     def test_continuity_toward_commuting(self):
         # shrinking the perturbation shrinks the median distance
         medians = []

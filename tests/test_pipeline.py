@@ -6,7 +6,9 @@ import scipy.linalg
 
 from nearcomm import (
     GapTooSmallError,
+    InvalidInputError,
     LaurentCoefficients,
+    NumericalError,
     PipelineOptions,
     center_gap,
     choose_truncation,
@@ -18,6 +20,7 @@ from nearcomm import (
     gen_voiculescu_pair,
     jointdiag,
     laurent_coefficients,
+    linalg,
     log_commutator_bound,
     mtxc,
     near_commuting_unitaries,
@@ -68,6 +71,20 @@ class TestLogCommutatorBound:
         assert report.alpha_normalized == pytest.approx(4.0 * 0.5 * 0.25)
 
 
+class TestPipelineOptions:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"min_gap": float("nan")}, {"min_gap": -0.1},
+         {"series_target": 0.0}, {"series_target": float("nan")}],
+    )
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            PipelineOptions(**kwargs)
+
+    def test_zero_min_gap_allowed(self):
+        assert PipelineOptions(min_gap=0.0).min_gap == 0.0
+
+
 class TestNearCommutingUnitaries:
     def test_commuting_diagonal_inputs(self):
         u = np.diag(np.exp(1j * np.array([0.9, 2.0, 4.0])))
@@ -95,7 +112,9 @@ class TestNearCommutingUnitaries:
         # exponentiation Lipschitz bound
         assert res.exp_dist_a <= res.herm_dist_a + 1e-10 * n
         assert res.exp_dist_b <= res.herm_dist_b + 1e-10 * n
-        # distance chain
+        # distance chain, measured against the inputs themselves
+        assert res.dist_u == pytest.approx(operator_norm(res.x.mat - u.mat), rel=1e-12)
+        assert res.dist_v == pytest.approx(operator_norm(res.y.mat - v.mat), rel=1e-12)
         assert res.dist_u <= res.herm_dist_a + res.tail1 + 1e-10 * n
         assert res.dist_v <= res.herm_dist_b + res.tail2 + 1e-10 * n
 
@@ -134,6 +153,19 @@ class TestNearCommutingUnitaries:
         assert not res.converged
         assert res.comm_after <= 1e-10 * 8
 
+    def test_output_unitarity_defect_is_numerical_failure(self, monkeypatch, tmp_path, capsys):
+        u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
+        u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
+        mtxc.write(u_path, u.mat)
+        mtxc.write(v_path, v.mat)
+        monkeypatch.setattr(pipeline, "unitarity_defect", lambda m: 1.0)
+        with pytest.raises(NumericalError, match="output X lost unitarity"):
+            near_commuting_unitaries(u, v)
+        code = cli.main(["pair", str(u_path), str(v_path), "--out-x", str(tmp_path / "x.mtxc"),
+                         "--out-y", str(tmp_path / "y.mtxc")])
+        assert code == cli.EXIT_NUMERICAL
+        assert "lost unitarity" in capsys.readouterr().err
+
     def test_flat_summary_keys(self):
         u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
         res = near_commuting_unitaries(u, v)
@@ -156,14 +188,41 @@ def schur_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that grows by one entry per np.linalg.eigh call."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 class TestDecompositionCounts:
-    """Each input is decomposed once; the logs reuse center_gap's eigensystem."""
+    """Each input is decomposed once; the logs and the outputs reuse the bases."""
 
     def test_pair_decomposes_each_input_once(self, schur_calls):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
         schur_calls.clear()
         near_commuting_unitaries(u, v)
         assert len(schur_calls) == 2
+
+    def test_pair_makes_one_eigh_and_no_herm_exp(self, eigh_calls, monkeypatch):
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("herm_exp called on the pair path")
+
+        monkeypatch.setattr(pipeline, "herm_exp", forbidden)
+        monkeypatch.setattr(linalg, "herm_exp", forbidden)
+        eigh_calls.clear()
+        near_commuting_unitaries(u, v)
+        # the joint diagonalization's warm start
+        assert eigh_calls == [(8, 8)]
 
     def test_cli_log_decomposes_once(self, schur_calls, tmp_path, capsys):
         u_path = tmp_path / "u.mtxc"
@@ -206,6 +265,15 @@ class TestTracedSurface:
 
     def test_pipeline_binds_nearest_commuting_pair(self):
         assert pipeline.nearest_commuting_pair is jointdiag.nearest_commuting_pair
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(pipeline, name) for name in ("center_gap", "certified_truncation", "gapped_log",
+                                       "nearest_commuting_pair", "herm_exp", "commutator")]
+        + [(cli, name) for name in ("center_gap", "certified_truncation", "gapped_log")],
+    )
+    def test_traced_names_are_bound(self, module, name):
+        assert callable(getattr(module, name, None))
 
     def test_pair_result_exposes_basis_sweeps_converged(self):
         pair = nearest_commuting_pair(np.diag([1.0, 2.0, 3.0]), np.eye(3))

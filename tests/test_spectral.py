@@ -76,7 +76,37 @@ class TestEigensystem:
             unitary_eigensystem(np.diag([1.0 + 2e-5, 1.0]), tolerances=loose)
 
 
+def loop_largest_gap(angles):
+    """(center, half_width, lo, hi) arc by arc: the reference for largest_gap."""
+    a = np.sort(np.asarray(angles, dtype=float))
+    n = len(a)
+    best = None
+    for i in range(n):
+        lo, hi = a[i], a[(i + 1) % n]
+        length = TWO_PI if n == 1 else (hi - lo if i + 1 < n else hi + TWO_PI - lo)
+        center = float(np.mod(lo + length / 2.0, TWO_PI))
+        if best is None or (-length, center) < best[0]:
+            best = ((-length, center), (center, float(min(length / 2.0, np.pi)), lo, hi))
+    return best[1]
+
+
 class TestLargestGap:
+    def test_equals_loop_reference(self):
+        # random, rounded (tied arcs) and clock spectra, n = 1..9
+        rng = np.random.default_rng(5)
+        for t in range(360):
+            n = 1 + t % 9
+            kind = t % 4
+            if kind == 0:
+                angles = rng.uniform(0, TWO_PI, n)
+            elif kind == 1:
+                angles = np.round(rng.uniform(0, TWO_PI, n), 1)
+            else:
+                offset = rng.uniform(0, 1) if kind == 2 else 0.0
+                angles = np.mod(TWO_PI * np.arange(n) / n + offset, TWO_PI)
+            gap = largest_gap(Eigensystem(np.sort(angles), np.eye(n, dtype=complex)))
+            assert (gap.center, gap.half_width, gap.lo, gap.hi) == loop_largest_gap(angles)
+
     def test_two_opposite_eigenvalues_tiebreak(self):
         # arcs (pi/2, 3pi/2) and (3pi/2, pi/2 + 2pi) both have length pi;
         # the tie-break picks the arc centered at 0

@@ -40,6 +40,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             small_config(trials=0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, np.pi, 4.0, float("nan")])
+    def test_delta_in_open_interval(self, delta):
+        with pytest.raises(InvalidInputError):
+            small_config(delta=delta)
+
 
 class TestRunSweep:
     def test_records_satisfy_contracts(self):
