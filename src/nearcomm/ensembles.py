@@ -49,12 +49,12 @@ def random_hermitian_unit_norm(n: int, rng: np.random.Generator) -> np.ndarray:
     return h / operator_norm(h)
 
 
-def _check_ensemble(n: int, delta: float) -> None:
-    """Reject a dimension below 1 or a gap half-width outside (0, pi)."""
-    if not 0 < delta < np.pi:
-        raise InvalidInputError(f"delta must lie in (0, pi), got {delta}")
+def check_ensemble_params(n: int, delta: float) -> None:
+    """Reject a dimension below 1, then a gap half-width outside (0, pi)."""
     if n < 1:
         raise InvalidInputError(f"dimension must be positive, got {n}")
+    if not 0 < delta < np.pi:
+        raise InvalidInputError(f"delta must lie in (0, pi), got {delta}")
 
 
 def gen_gapped_unitary(n: int, delta: float, seed: int, *stream: int) -> UnitaryMatrix:
@@ -63,7 +63,7 @@ def gen_gapped_unitary(n: int, delta: float, seed: int, *stream: int) -> Unitary
     Eigenangles are sampled uniformly from (delta, 2pi - delta), so the
     empty arc around angle 0 has half-width at least delta.
     """
-    _check_ensemble(n, delta)
+    check_ensemble_params(n, delta)
     rng = stream_rng(seed, *stream)
     angles = rng.uniform(delta, TWO_PI - delta, size=n)
     basis = haar_unitary(n, rng)
@@ -87,7 +87,7 @@ def gen_almost_commuting_pair(
     with a fresh sub-stream; a bounded number of retries guards against
     pathological parameters.
     """
-    _check_ensemble(n, delta)
+    check_ensemble_params(n, delta)
     if eps_target < 0:
         raise InvalidInputError(f"eps_target must be nonnegative, got {eps_target}")
     for attempt in range(MAX_REGEN_RETRIES):

@@ -178,6 +178,21 @@ def unitary_from_angles(basis, angles) -> np.ndarray:
     return (basis * np.exp(1j * angles)) @ basis.conj().T
 
 
+def certified_unitary(
+    m: np.ndarray, what: str, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
+) -> UnitaryMatrix:
+    """m with its measured unitarity defect, for a unitary this package built.
+
+    A defect above tolerance is a numerical failure of ours, not bad input,
+    so it raises NumericalError rather than InvalidInputError.
+    """
+    n = m.shape[0]
+    d = unitarity_defect(m)
+    if d > tolerances.unitarity(n):
+        raise NumericalError(f"{what} lost unitarity: defect {d:.3e} for {n}x{n} input")
+    return UnitaryMatrix(m, d)
+
+
 def herm_exp(h, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> UnitaryMatrix:
     """exp(iH) for Hermitian H, via eigendecomposition.
 
@@ -193,10 +208,4 @@ def herm_exp(h, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> UnitaryMatr
         w, q = np.linalg.eigh(h.mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed for {n}x{n} input: {exc}") from exc
-    u = unitary_from_angles(q, w)
-    du = unitarity_defect(u)
-    if du > tolerances.unitarity(n):
-        raise NumericalError(
-            f"exponential lost unitarity: defect {du:.3e} for {n}x{n} input"
-        )
-    return UnitaryMatrix(u, du)
+    return certified_unitary(unitary_from_angles(q, w), "exponential", tolerances)

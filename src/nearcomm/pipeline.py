@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
 from .gapped_log import LaurentCoefficients, certified_truncation, gapped_log
 from .jointdiag import JadeOptions, nearest_commuting_pair
@@ -21,9 +19,9 @@ from .linalg import (
     ToleranceConfig,
     UnitaryMatrix,
     as_square_array,
+    certified_unitary,
     commutator,
     operator_norm,
-    unitarity_defect,
     unitary_from_angles,
 )
 # not called here: bound only because perfbench's tracer looks up pipeline.herm_exp
@@ -158,14 +156,6 @@ def log_commutator_bound(
     )
 
 
-def _output_unitary(m: np.ndarray, name: str, tol: ToleranceConfig) -> UnitaryMatrix:
-    """m with its measured unitarity defect; a defect above tolerance is our failure."""
-    d = unitarity_defect(m)
-    if d > tol.unitarity(m.shape[0]):
-        raise NumericalError(f"output {name} lost unitarity: defect {d:.3e}")
-    return UnitaryMatrix(m, d)
-
-
 def near_commuting_unitaries(
     u, v, opts: PipelineOptions = DEFAULT_OPTIONS
 ) -> PipelineResult:
@@ -197,8 +187,10 @@ def near_commuting_unitaries(
           |X - U| = |exp(iA') - U_c|
                   <= |exp(iA') - exp(iH_u)| + |exp(iH_u) - U~| + |U~ - U_c|
                   <= |A' - H_u| + tail_u + r_u.
-    - Output unitarity. Each output's defect is measured once; one above
-      the unitarity tolerance raises NumericalError.
+    - Output unitarity and commutation. Each output's defect is measured
+      once, and |[X, Y]| once; either above its tolerance raises
+      NumericalError. Q has gathered every sweep's Cayley factor, so [X, Y]
+      is zero only as far as Q is orthonormal, and the check enforces it.
     """
     tol = opts.tolerances
     a_u = as_square_array(u, "U")
@@ -259,9 +251,14 @@ def near_commuting_unitaries(
     if dist_v > herm_dist_b + coeffs_v.tail + r_v + 1e-10 * n:
         raise NumericalError("distance to Y exceeds log distance plus tail and residual slack")
 
-    x = _output_unitary(x_mat, "X", tol)
-    y = _output_unitary(y_mat, "Y", tol)
+    x = certified_unitary(x_mat, "output X", tol)
+    y = certified_unitary(y_mat, "output Y", tol)
     comm_after = operator_norm(commutator(x_mat, y_mat))
+    if comm_after > tol.commute(n):
+        raise NumericalError(
+            f"output commutator {comm_after:.3e} exceeds tolerance {tol.commute(n):.3e}"
+        )
+
     return PipelineResult(
         x=x,
         y=y,

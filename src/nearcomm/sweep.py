@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensembles import _check_ensemble, gen_almost_commuting_pair
+from .ensembles import check_ensemble_params, gen_almost_commuting_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
 from .pipeline import PipelineOptions, near_commuting_unitaries
 
@@ -42,7 +42,7 @@ class ExperimentConfig:
             raise InvalidInputError("epsilons must be sorted descending")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
-        _check_ensemble(self.n, self.delta)
+        check_ensemble_params(self.n, self.delta)
 
 
 @dataclass(frozen=True)

@@ -158,13 +158,34 @@ class TestNearCommutingUnitaries:
         u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
         mtxc.write(u_path, u.mat)
         mtxc.write(v_path, v.mat)
-        monkeypatch.setattr(pipeline, "unitarity_defect", lambda m: 1.0)
+        # every defect measured after the joint diagonalization reads 1: only the outputs'
+        after_jd = []
+        real_jd, real_defect = pipeline.nearest_commuting_pair, linalg.unitarity_defect
+
+        def jd(*args, **kwargs):
+            after_jd.append(True)
+            return real_jd(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "nearest_commuting_pair", jd)
+        monkeypatch.setattr(linalg, "unitarity_defect",
+                            lambda m: 1.0 if after_jd else real_defect(m))
         with pytest.raises(NumericalError, match="output X lost unitarity"):
             near_commuting_unitaries(u, v)
+        after_jd.clear()
         code = cli.main(["pair", str(u_path), str(v_path), "--out-x", str(tmp_path / "x.mtxc"),
                          "--out-y", str(tmp_path / "y.mtxc")])
         assert code == cli.EXIT_NUMERICAL
         assert "lost unitarity" in capsys.readouterr().err
+
+    def test_output_commutator_above_tolerance_is_numerical_failure(self):
+        u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
+        res = near_commuting_unitaries(u, v)
+        assert res.comm_after > 0
+        opts = PipelineOptions(
+            tolerances=linalg.ToleranceConfig(commute_tol=res.comm_after / 8)
+        )
+        with pytest.raises(NumericalError, match="output commutator"):
+            near_commuting_unitaries(u, v, opts)
 
     def test_flat_summary_keys(self):
         u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)

@@ -45,6 +45,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             small_config(delta=delta)
 
+    def test_dimension_checked_before_delta(self):
+        with pytest.raises(InvalidInputError, match="dimension"):
+            small_config(n=0, delta=4.0)
+
 
 class TestRunSweep:
     def test_records_satisfy_contracts(self):
