@@ -114,8 +114,8 @@ def _cmd_sweep(args) -> int:
     if args.points == 1:
         eps = [args.eps_start]
     else:
-        if args.eps_start <= 0 or args.eps_end <= 0:
-            raise InvalidInputError("log-spaced epsilons need positive endpoints")
+        if not (0 < args.eps_start < np.inf and 0 < args.eps_end < np.inf):
+            raise InvalidInputError("log-spaced epsilons need positive finite endpoints")
         eps = list(np.geomspace(args.eps_start, args.eps_end, args.points))
     eps = sorted(eps, reverse=True)
     config = ExperimentConfig(

@@ -88,8 +88,8 @@ def gen_almost_commuting_pair(
     pathological parameters.
     """
     check_ensemble_params(n, delta)
-    if eps_target < 0:
-        raise InvalidInputError(f"eps_target must be nonnegative, got {eps_target}")
+    if not 0 <= eps_target < np.inf:
+        raise InvalidInputError(f"eps_target must be finite and nonnegative, got {eps_target}")
     for attempt in range(MAX_REGEN_RETRIES):
         rng = stream_rng(seed, *stream, attempt)
         angles_u = rng.uniform(delta, TWO_PI - delta, size=n)

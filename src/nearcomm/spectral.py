@@ -1,8 +1,19 @@
 """Eigensystems of unitary matrices and spectral gaps on the unit circle.
 
-A unitary matrix is normal, so its Schur form is diagonal and the Schur
-basis is an orthonormal eigenbasis; this is numerically more robust than a
-generic eigensolver when eigenvalues cluster. Gap discovery works on the
+A unitary U is normal, so any Hermitian function of it shares its
+eigenvectors. For a probe angle psi that is not an eigenangle, the Cayley
+transform
+
+    W = -exp(-i*psi) U,    H = i (I + W)^{-1} (I - W)
+
+is Hermitian with eigenvalues -cot((phi_j - psi)/2), so one Hermitian
+eigendecomposition of H yields an orthonormal eigenbasis of U. |H| is
+cot(d/2) for the distance d from psi to the nearest eigenangle, which
+sets how well that basis is resolved. The largest gap has half-width
+h >= pi/n, so a probe at its center gives |H| <= cot(h/2) <=
+cot(pi/(2n)) ~ 2n/pi; a probe is kept only while d >= h/2, so
+|H| < 4n/pi on every eigenbasis returned. The reconstruction residual of
+that basis is measured and certifies it. Gap discovery works on the
 sorted eigenangles; centering multiplies by a scalar phase so the widest
 empty arc straddles angle 0.
 """
@@ -12,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
@@ -30,6 +40,13 @@ TWO_PI = 2.0 * np.pi
 # eigenvalues of a numerically unitary matrix must sit this close to the
 # unit circle before radial projection is considered safe
 MODULUS_TOL = 1e-6
+
+# the first Cayley probe, and the step to the next one when a probe sits on
+# an eigenvalue (the golden angle, so repeated steps never revisit a probe)
+_FIRST_PROBE = 1.0
+_PROBE_STEP = np.pi * (3.0 - np.sqrt(5.0))
+# Cayley transforms tried before unitary_eigensystem gives up
+_MAX_PROBES = 6
 
 
 def wrap_to_pi(phi):
@@ -76,43 +93,95 @@ class GapInfo:
     hi: float
 
 
+def _cayley(a: np.ndarray, psi: float) -> np.ndarray | None:
+    """(H + H^H)/2 for H = i (I + W)^{-1} (I - W), W = -exp(-i*psi) A.
+
+    None when the probe sits on an eigenvalue: I + W is singular or the
+    solve overflows.
+    """
+    w = -np.exp(-1j * psi) * a
+    eye = np.eye(a.shape[0])
+    try:
+        h = 1j * np.linalg.solve(eye + w, eye - w)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(h)):
+        return None
+    return (h + h.conj().T) / 2.0
+
+
+def _check_unitary(a: np.ndarray, tol: float) -> None:
+    """Raise InvalidInputError when the measured unitarity defect exceeds tol.
+
+    Called once a check has failed, since a trusted UnitaryMatrix may carry
+    a defect it does not have.
+    """
+    defect = unitarity_defect(a)
+    if defect > tol:
+        raise InvalidInputError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}")
+
+
 def unitary_eigensystem(
     u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> Eigensystem:
     """Eigenangles and orthonormal eigenbasis of a unitary matrix.
 
+    Two probes of the Cayley transform H(psi) in the module docstring:
+    eigvalsh of H at _FIRST_PROBE gives rough angles
+    psi + 2 atan2(1, -lambda) and so the largest gap; eigh of H at that
+    gap's center gives the basis Z, and the angles are read off the
+    Rayleigh quotients diag(Z^H U Z). A probe on an eigenvalue (singular
+    solve) is stepped along; a second probe nearer the measured angles than
+    half the largest gap's half-width is repeated at the measured gap
+    center; after _MAX_PROBES transforms NumericalError is raised.
+
     A UnitaryMatrix is trusted; a plain array is checked by
-    UnitaryMatrix.from_array. The reconstruction residual must stay within
-    tolerances.unitarity(n); when it does not, the input's unitarity defect
-    is measured, so a non-unitary input is rejected as invalid rather than
-    reported as a numerical failure.
+    UnitaryMatrix.from_array. The Rayleigh quotients must lie within
+    MODULUS_TOL of the unit circle, and the reconstruction residual
+    |Z diag(e^{i*angles}) Z^H - U|, the certificate the eigensystem
+    carries, must stay within tolerances.unitarity(n). When either check
+    fails, the input's unitarity defect is measured first, so a
+    non-unitary input is rejected as invalid rather than reported as a
+    numerical failure.
     """
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix.from_array(u, tolerances)
     a, n = u.mat, u.n
-    try:
-        t, z = scipy.linalg.schur(a, output="complex")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    lam = np.diag(t)
-    moduli = np.abs(lam)
-    worst = float(np.max(np.abs(moduli - 1.0)))
-    if worst > MODULUS_TOL:
-        raise InvalidInputError(
-            f"eigenvalue modulus deviates from 1 by {worst:.3e}; input is not numerically unitary"
-        )
-    angles = np.mod(np.angle(lam / moduli), TWO_PI)
-    order = np.argsort(angles, kind="stable")
-    es = Eigensystem(angles[order], z[:, order])
-    resid = float(np.linalg.norm(es.reconstruct() - a, ord=2))
     tol = tolerances.unitarity(n)
-    if resid > tol:
-        # a trusted UnitaryMatrix may carry a defect it does not have
-        defect = unitarity_defect(a)
-        if defect > tol:
-            raise InvalidInputError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}")
-        raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
-    return Eigensystem(es.angles, es.basis, resid)
+    psi, rough = _FIRST_PROBE, True
+    for _ in range(_MAX_PROBES):
+        h = _cayley(a, psi)
+        if h is None:
+            psi, rough = psi + _PROBE_STEP, True
+            continue
+        try:
+            lam, z = (np.linalg.eigvalsh(h), None) if rough else np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed for {n}x{n} input: {exc}") from exc
+        if rough:
+            psi = _gap_of(np.mod(psi + 2.0 * np.arctan2(1.0, -lam), TWO_PI)).center
+            rough = False
+            continue
+        rq = np.einsum("ij,ij->j", z.conj(), a @ z)
+        worst = float(np.max(np.abs(np.abs(rq) - 1.0)))
+        if worst > MODULUS_TOL:
+            _check_unitary(a, tol)
+            raise InvalidInputError(
+                f"eigenvalue modulus deviates from 1 by {worst:.3e}; input is not numerically unitary"
+            )
+        angles = np.mod(np.angle(rq), TWO_PI)
+        gap = _gap_of(angles)
+        if np.min(np.abs(wrap_to_pi(angles - psi))) < gap.half_width / 2.0:
+            psi = gap.center
+            continue
+        order = np.argsort(angles, kind="stable")
+        angles, z = angles[order], z[:, order]
+        resid = float(np.linalg.norm(unitary_from_angles(z, angles) - a, ord=2))
+        if resid > tol:
+            _check_unitary(a, tol)
+            raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
+        return Eigensystem(angles, z, resid)
+    raise NumericalError(f"no well-conditioned Cayley probe after {_MAX_PROBES} tries")
 
 
 def largest_gap(es: Eigensystem) -> GapInfo:
@@ -124,7 +193,12 @@ def largest_gap(es: Eigensystem) -> GapInfo:
     deterministic. A single eigenvalue leaves one arc of length exactly
     2pi; the half-width is capped at pi.
     """
-    angles = np.sort(np.asarray(es.angles, dtype=float))
+    return _gap_of(es.angles)
+
+
+def _gap_of(angles) -> GapInfo:
+    """largest_gap of angles in [0, 2pi), in any order."""
+    angles = np.sort(np.asarray(angles, dtype=float))
     n = len(angles)
     if n < 1:
         raise InvalidInputError("eigensystem has no angles")

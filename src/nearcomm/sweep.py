@@ -36,8 +36,8 @@ class ExperimentConfig:
         object.__setattr__(self, "epsilons", eps)
         if not eps:
             raise InvalidInputError("epsilons must be non-empty")
-        if any(e < 0 for e in eps):
-            raise InvalidInputError("epsilons must be nonnegative")
+        if any(not 0 <= e < math.inf for e in eps):
+            raise InvalidInputError("epsilons must be finite and nonnegative")
         if list(eps) != sorted(eps, reverse=True):
             raise InvalidInputError("epsilons must be sorted descending")
         if self.trials < 1:

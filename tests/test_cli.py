@@ -144,6 +144,21 @@ def test_ensemble_delta_outside_open_interval_rejected(tmp_path, capsys, delta):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("eps_start", ["nan", "inf"])
+@pytest.mark.parametrize("points", ["1", "2"])
+def test_sweep_non_finite_eps_rejected(tmp_path, capsys, eps_start, points):
+    assert main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", eps_start,
+                 "--eps-end", "0.01", "--points", points, "--trials", "1", "--seed", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == EXIT_REJECTED
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_import_does_not_load_scipy():
+    code = "import nearcomm.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_pair_nan_min_gap_rejected(tmp_path, capsys):
     u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
     main(["generate", "pair", "--n", "4", "--delta", "1.0", "--eps", "0.001",

@@ -81,6 +81,11 @@ class TestAlmostCommutingPair:
         with pytest.raises(InvalidInputError):
             gen_almost_commuting_pair(4, 1.0, -0.1, 1)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(InvalidInputError):
+            gen_almost_commuting_pair(4, 1.0, eps, 1)
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.pi, 4.0, float("nan")])
     def test_rejects_delta_outside_open_interval(self, delta):
         with pytest.raises(InvalidInputError):

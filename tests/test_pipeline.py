@@ -195,44 +195,48 @@ class TestNearCommutingUnitaries:
             assert key in flat
 
 
-@pytest.fixture
-def schur_calls(monkeypatch):
-    """A list that grows by one entry per scipy.linalg.schur call."""
+def _counting(monkeypatch, owner, name):
+    """A list that grows by one entry (the argument's shape) per owner.name call."""
     calls = []
-    schur = scipy.linalg.schur
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape)
-        return schur(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "schur", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+@pytest.fixture
+def schur_calls(monkeypatch):
+    """scipy.linalg.schur calls, which the package no longer makes."""
+    return _counting(monkeypatch, scipy.linalg, "schur")
 
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """A list that grows by one entry per np.linalg.eigh call."""
-    calls = []
-    eigh = np.linalg.eigh
+    return _counting(monkeypatch, np.linalg, "eigh")
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    return _counting(monkeypatch, np.linalg, "eigvalsh")
 
 
 class TestDecompositionCounts:
-    """Each input is decomposed once; the logs and the outputs reuse the bases."""
+    """Each input is decomposed once, by one eigvalsh and one eigh of a
+    Cayley transform; the logs and the outputs reuse the bases."""
 
-    def test_pair_decomposes_each_input_once(self, schur_calls):
+    def test_pair_decomposes_each_input_once(self, schur_calls, eigvalsh_calls):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
         schur_calls.clear()
+        eigvalsh_calls.clear()
         near_commuting_unitaries(u, v)
-        assert len(schur_calls) == 2
+        assert schur_calls == []
+        assert eigvalsh_calls == [(8, 8)] * 2
 
-    def test_pair_makes_one_eigh_and_no_herm_exp(self, eigh_calls, monkeypatch):
+    def test_pair_makes_three_eigh_and_no_herm_exp(self, eigh_calls, monkeypatch):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
 
         def forbidden(*args, **kwargs):
@@ -242,21 +246,29 @@ class TestDecompositionCounts:
         monkeypatch.setattr(linalg, "herm_exp", forbidden)
         eigh_calls.clear()
         near_commuting_unitaries(u, v)
-        # the joint diagonalization's warm start
-        assert eigh_calls == [(8, 8)]
+        # one per input, then the joint diagonalization's warm start
+        assert eigh_calls == [(8, 8)] * 3
 
-    def test_cli_log_decomposes_once(self, schur_calls, tmp_path, capsys):
+    def test_cli_log_decomposes_once(self, schur_calls, eigvalsh_calls, eigh_calls,
+                                     tmp_path, capsys):
         u_path = tmp_path / "u.mtxc"
         mtxc.write(u_path, gen_gapped_unitary(8, 1.0, 3).mat)
+        eigvalsh_calls.clear()
+        eigh_calls.clear()
         assert cli.main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc")]) == cli.EXIT_OK
-        assert len(schur_calls) == 1
+        assert schur_calls == []
+        assert eigvalsh_calls == eigh_calls == [(8, 8)]
 
-    def test_gapped_log_on_centered_input_decomposes_nothing(self, schur_calls):
+    def test_gapped_log_on_centered_input_decomposes_nothing(
+        self, schur_calls, eigvalsh_calls, eigh_calls
+    ):
         cu, _, gap = center_gap(gen_gapped_unitary(8, 1.0, 3))
         schur_calls.clear()
+        eigvalsh_calls.clear()
+        eigh_calls.clear()
         gamma = gap.half_width / 2
         gapped_log(cu, gamma, choose_truncation(gamma, 1e-6))
-        assert schur_calls == []
+        assert schur_calls == eigvalsh_calls == eigh_calls == []
 
 
 def tridiagonal_family(n):

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nearcomm import (
     Eigensystem,
     InvalidInputError,
+    NumericalError,
     ToleranceConfig,
     UnitaryMatrix,
     commutator,
@@ -19,6 +21,7 @@ from nearcomm import (
     unitary_eigensystem,
     wrap_to_pi,
 )
+from nearcomm import spectral
 
 TWO_PI = 2 * np.pi
 
@@ -62,18 +65,145 @@ class TestEigensystem:
             center_gap(UnitaryMatrix(m, 0.0) if typed else m)
 
     def test_residual_gate_reads_unitarity_tolerance(self):
-        # the residual of this non-normal matrix is 5: rejected at the
-        # default tolerance above, accepted once unitarity(2) exceeds it
-        m = np.array([[1.0, 5.0], [0.0, -1.0]])
-        loose = ToleranceConfig(unitarity_tol=3.0)
+        # the residual of this non-normal matrix is 5e-7: rejected at the
+        # default tolerance, accepted once unitarity(2) exceeds it
+        m = np.array([[1.0, 1e-6], [0.0, -1.0]])
+        with pytest.raises(InvalidInputError, match="unitarity defect"):
+            unitary_eigensystem(UnitaryMatrix(m, 0.0))
+        loose = ToleranceConfig(unitarity_tol=1e-5)
         es = unitary_eigensystem(UnitaryMatrix(m, 0.0), tolerances=loose)
-        assert 4.0 < es.residual <= loose.unitarity(2)
+        assert 4e-7 < es.residual <= loose.unitarity(2)
 
     def test_modulus_check_behind_loose_tolerance(self):
         # with the defect gate opened wide, the radial-projection guard fires
         loose = ToleranceConfig(unitarity_tol=1.0)
         with pytest.raises(InvalidInputError, match="modulus"):
             unitary_eigensystem(np.diag([1.0 + 2e-5, 1.0]), tolerances=loose)
+
+
+def schur_eigensystem(m):
+    """Eigensystem from the complex Schur form: the reference for unitary_eigensystem."""
+    t, z = scipy.linalg.schur(m, output="complex")
+    angles = np.mod(np.angle(np.diag(t)), TWO_PI)
+    order = np.argsort(angles, kind="stable")
+    return Eigensystem(angles[order], z[:, order])
+
+
+def near_equispaced(n, seed):
+    rng = np.random.default_rng(seed)
+    angles = np.mod(TWO_PI * np.arange(n) / n + 1e-3 * rng.standard_normal(n), TWO_PI)
+    q = haar_unitary(n, stream_rng(seed))
+    return (q * np.exp(1j * angles)) @ q.conj().T
+
+
+class TestAgainstSchur:
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+    @pytest.mark.parametrize("delta", [1.0, 0.25, 0.1])
+    def test_gapped(self, n, delta):
+        self.check(gen_gapped_unitary(n, delta, 17).mat)
+
+    def test_near_equispaced_n128(self):
+        # every gap about pi/128: the second probe's |H| nears its bound
+        self.check(near_equispaced(128, 4))
+
+    @staticmethod
+    def check(m):
+        n = m.shape[0]
+        es, ref = unitary_eigensystem(m), schur_eigensystem(m)
+        assert np.max(np.abs(wrap_to_pi(es.angles - ref.angles))) <= 1e-13
+        gap, ref_gap = largest_gap(es), largest_gap(ref)
+        assert abs(wrap_to_pi(gap.center - ref_gap.center)) <= 1e-13
+        assert gap.half_width == pytest.approx(ref_gap.half_width, abs=1e-13)
+        assert 0.0 <= es.residual <= ToleranceConfig().unitarity(n)
+        assert es.residual == pytest.approx(operator_norm(es.reconstruct() - m), abs=1e-15)
+        gram = es.basis.conj().T @ es.basis
+        assert operator_norm(gram - np.eye(n)) <= 1e-13 * n
+
+
+class TestCayleyProbes:
+    """Probes on or near eigenvalues, degenerate spectra and the retry cap."""
+
+    def probe_log(self, monkeypatch):
+        """Each Cayley transform's probe angle and whether it failed."""
+        log, cayley = [], spectral._cayley
+
+        def logged(a, psi):
+            h = cayley(a, psi)
+            log.append((psi, h is None))
+            return h
+
+        monkeypatch.setattr(spectral, "_cayley", logged)
+        return log
+
+    def test_eigenvalue_on_first_probe(self, monkeypatch):
+        log = self.probe_log(monkeypatch)
+        q = haar_unitary(5, stream_rng(3))
+        angles = np.array([spectral._FIRST_PROBE, 0.5, 2.0, 4.0, 5.5])
+        m = (q * np.exp(1j * angles)) @ q.conj().T
+        es = unitary_eigensystem(m)
+        assert np.allclose(es.angles, np.sort(angles), atol=1e-13)
+        assert len(log) == 2
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_scalar_at_first_probe(self, n):
+        es = unitary_eigensystem(np.exp(1j * spectral._FIRST_PROBE) * np.eye(n))
+        assert np.allclose(es.angles, spectral._FIRST_PROBE, atol=1e-15)
+        gap = largest_gap(es)
+        assert gap.half_width == pytest.approx(np.pi)
+
+    def test_singular_probe_steps_on(self, monkeypatch):
+        # with the first probe at 0, I + W = I - U is exactly singular for U = I
+        monkeypatch.setattr(spectral, "_FIRST_PROBE", 0.0)
+        log = self.probe_log(monkeypatch)
+        es = unitary_eigensystem(np.diag([1.0, 1j, -1.0]))
+        assert np.allclose(es.angles, [0.0, np.pi / 2, np.pi], atol=1e-15)
+        assert log[0] == (0.0, True)
+        assert [failed for _, failed in log[1:]] == [False, False]
+
+    def test_repeated_eigenvalues(self):
+        q = haar_unitary(6, stream_rng(2))
+        angles = np.array([0.5, 0.5, 0.5, 2.0, 2.0, 4.0])
+        m = (q * np.exp(1j * angles)) @ q.conj().T
+        es = unitary_eigensystem(m)
+        assert np.allclose(es.angles, angles, atol=1e-13)
+        assert operator_norm(es.reconstruct() - m) <= es.residual + 1e-15
+        assert operator_norm(es.basis.conj().T @ es.basis - np.eye(6)) <= 1e-13
+
+    def test_off_center_second_probe_is_repeated(self, monkeypatch):
+        # rough angles all at the first probe put the second probe opposite
+        # it, 1e-3 from an eigenvalue; the measured angles move it to their
+        # gap center, (2.0 + psi0 + pi + 1e-3)/2
+        log = self.probe_log(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.full(h.shape[0], -1e300))
+        opposite = spectral._FIRST_PROBE + np.pi
+        angles = np.array([0.3, 2.0, opposite + 1e-3, 5.5])
+        q = haar_unitary(4, stream_rng(8))
+        m = (q * np.exp(1j * angles)) @ q.conj().T
+        es = unitary_eigensystem(m)
+        assert np.allclose(es.angles, angles, atol=1e-13)
+        assert [psi for psi, _ in log[1:]] == pytest.approx(
+            [opposite, (2.0 + opposite + 1e-3) / 2], abs=1e-12
+        )
+
+    def test_eigh_failure_is_numerical_error(self, monkeypatch):
+        def failing(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            unitary_eigensystem(np.diag([1.0, 1j]))
+
+    def test_retry_cap_raises_numerical_error(self, monkeypatch):
+        calls = []
+
+        def singular(a, b):
+            calls.append(a.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(NumericalError, match="Cayley probe"):
+            unitary_eigensystem(np.eye(3))
+        assert len(calls) == spectral._MAX_PROBES
 
 
 def loop_largest_gap(angles):

@@ -32,6 +32,11 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             small_config(epsilons=(1e-2, -1e-3))
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, eps):
+        with pytest.raises(InvalidInputError):
+            small_config(epsilons=(eps,))
+
     def test_zero_allowed(self):
         cfg = small_config(epsilons=(1e-2, 0.0))
         assert cfg.epsilons[-1] == 0.0
