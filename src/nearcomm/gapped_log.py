@@ -19,13 +19,14 @@ eigenangles, never in matrix powers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BranchPointError, InvalidInputError, PreconditionError, TruncationError
 from .linalg import DEFAULT_TOLERANCES, HermitianMatrix, ToleranceConfig, _frozen, hermitian_part
-from .spectral import CenteredUnitary, unitary_eigensystem, wrap_to_pi
+from .spectral import Eigensystem, unitary_eigensystem, wrap_to_pi
 
 # Decay constant of the coefficient envelope |c_k| <= C/(gamma*k^4):
 # sup_s s^3 |X(s)| for the unit-mass kernel transform X is 25.3834 (attained
@@ -131,8 +132,8 @@ def laurent_coefficients(gamma: float, trunc_order: int) -> LaurentCoefficients:
     """Coefficients c_k = d_k * X(k) of the smoothed sawtooth, |k| <= K."""
     if not 0 < gamma < np.pi:
         raise InvalidInputError(f"gamma must lie in (0, pi), got {gamma}")
-    if trunc_order < 1:
-        raise InvalidInputError(f"truncation order must be >= 1, got {trunc_order}")
+    if not isinstance(trunc_order, numbers.Integral) or trunc_order < 1:
+        raise InvalidInputError(f"truncation order must be an integer >= 1, got {trunc_order}")
     k = np.arange(1, trunc_order + 1)
     damp = kernel_transform(gamma, k)
     pos = (1j / k) * damp
@@ -195,19 +196,20 @@ def gapped_log(
     Requires the spectrum of U to stay more than gamma away from angle 0
     (gap centered there) and the certified tail to meet series_target.
     g_K is summed on the eigenangles: H = Z diag(g_K(theta)) Z^H, made
-    exactly Hermitian by hermitian_part. A CenteredUnitary carries its
-    eigensystem from center_gap; any other input is decomposed here. H is
-    thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
+    exactly Hermitian by hermitian_part. An Eigensystem, such as the one
+    center_gap returns, is used as given; any other input is decomposed
+    here. H is thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
     weighted_sum() * r of the series in U for the residual r = |U~ - U|.
     """
-    es = u.eigensystem if isinstance(u, CenteredUnitary) else unitary_eigensystem(u, tolerances)
+    es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u, tolerances)
     measured = float(np.min(np.abs(wrap_to_pi(es.angles))))
     if not gamma < measured:
         raise PreconditionError(
             f"smoothing width gamma = {gamma} not below measured gap half-width {measured:.6f}"
         )
     lc = laurent_coefficients(gamma, trunc_order)
-    if lc.tail > series_target:
+    # written so that a NaN target fails
+    if not lc.tail <= series_target:
         raise TruncationError(
             f"certified tail {lc.tail:.3e} exceeds target {series_target:.3e}; "
             "increase the truncation order or the smoothing width",

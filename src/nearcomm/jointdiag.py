@@ -17,6 +17,7 @@ output pair always satisfies the commuting contract.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class JadeOptions:
     rel_improvement_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise InvalidInputError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
+            raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps}")
         if not self.rel_improvement_tol >= 0:
             raise InvalidInputError("rel_improvement_tol must be nonnegative")
 

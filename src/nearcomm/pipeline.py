@@ -165,10 +165,11 @@ def near_commuting_unitaries(
     opts.min_gap. The returned pair commutes within the commute tolerance;
     the result carries all measured distances and the bound report.
 
-    center_gap finds the eigensystem (Z, Theta) of the centered input
-    U_c = e^{-i*zeta1} U. The log H_u = g_K(U~) is summed on it, so it is a
-    function of the reconstruction U~ = Z e^{i*Theta} Z^H, not of U_c;
-    r_u = |U~ - U_c| is the residual that eigensystem carries. The joint
+    center_gap returns the eigensystem (Z, Theta) of the centered input
+    U_c = e^{-i*zeta1} U; U_c itself is never formed. The log H_u = g_K(U~)
+    is summed on it, so it is a function of the reconstruction
+    U~ = Z e^{i*Theta} Z^H, not of U_c; r_u = |U~ - U_c| is the residual
+    that eigensystem carries, es_u.residual below. The joint
     diagonalization returns the common basis Q and the diagonals a, b of
     A' and B'. No matrix is decomposed again: the outputs are
     X = Q diag(e^{i(a + zeta1)}) Q^H = e^{i*zeta1} exp(iA') and Y likewise,
@@ -198,8 +199,8 @@ def near_commuting_unitaries(
     n = a_u.shape[0]
     eps = operator_norm(commutator(a_u, a_v))
 
-    centered_u, zeta1, gap1 = center_gap(u, tol)
-    centered_v, zeta2, gap2 = center_gap(v, tol)
+    es_u, zeta1, gap1 = center_gap(u, tol)
+    es_v, zeta2, gap2 = center_gap(v, tol)
     if gap1.half_width <= opts.min_gap or gap2.half_width <= opts.min_gap:
         raise GapTooSmallError(
             f"gap half-widths ({gap1.half_width:.6f}, {gap2.half_width:.6f}) "
@@ -212,17 +213,15 @@ def near_commuting_unitaries(
     gamma2 = gap2.half_width / 2.0
     k1 = certified_truncation(gamma1, opts.series_target)
     k2 = certified_truncation(gamma2, opts.series_target)
-    log_u, coeffs_u = gapped_log(centered_u, gamma1, k1, opts.series_target, tol)
-    log_v, coeffs_v = gapped_log(centered_v, gamma2, k2, opts.series_target, tol)
+    log_u, coeffs_u = gapped_log(es_u, gamma1, k1, opts.series_target, tol)
+    log_v, coeffs_v = gapped_log(es_v, gamma2, k2, opts.series_target, tol)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
     bound = log_commutator_bound(
         coeffs_u, coeffs_v, eps, gap1.half_width, gap2.half_width, measured_log_comm
     )
-    r_u = centered_u.eigensystem.residual
-    r_v = centered_v.eigensystem.residual
-    err_u = coeffs_u.tail + coeffs_u.weighted_sum() * r_u
-    err_v = coeffs_v.tail + coeffs_v.weighted_sum() * r_v
+    err_u = coeffs_u.tail + coeffs_u.weighted_sum() * es_u.residual
+    err_v = coeffs_v.tail + coeffs_v.weighted_sum() * es_v.residual
     slack = 2.0 * (err_u * operator_norm(log_v) + err_v * (operator_norm(log_u) + err_u))
     if measured_log_comm > bound.predicted + slack + 1e-12 * n:
         raise NumericalError(
@@ -234,7 +233,6 @@ def near_commuting_unitaries(
     herm_dist_a = pair.dist_a
     herm_dist_b = pair.dist_b
 
-    es_u, es_v = centered_u.eigensystem, centered_v.eigensystem
     x_mat = unitary_from_angles(pair.basis, pair.diag_a + zeta1)
     y_mat = unitary_from_angles(pair.basis, pair.diag_b + zeta2)
     ref_u = unitary_from_angles(es_u.basis, coeffs_u.evaluate(es_u.angles) + zeta1)
@@ -246,9 +244,9 @@ def near_commuting_unitaries(
 
     dist_u = operator_norm(x_mat - a_u)
     dist_v = operator_norm(y_mat - a_v)
-    if dist_u > herm_dist_a + coeffs_u.tail + r_u + 1e-10 * n:
+    if dist_u > herm_dist_a + coeffs_u.tail + es_u.residual + 1e-10 * n:
         raise NumericalError("distance to X exceeds log distance plus tail and residual slack")
-    if dist_v > herm_dist_b + coeffs_v.tail + r_v + 1e-10 * n:
+    if dist_v > herm_dist_b + coeffs_v.tail + es_v.residual + 1e-10 * n:
         raise NumericalError("distance to Y exceeds log distance plus tail and residual slack")
 
     x = certified_unitary(x_mat, "output X", tol)

@@ -14,8 +14,9 @@ h >= pi/n, so a probe at its center gives |H| <= cot(h/2) <=
 cot(pi/(2n)) ~ 2n/pi; a probe is kept only while d >= h/2, so
 |H| < 4n/pi on every eigenbasis returned. The reconstruction residual of
 that basis is measured and certifies it. Gap discovery works on the
-sorted eigenangles; centering multiplies by a scalar phase so the widest
-empty arc straddles angle 0.
+sorted eigenangles; centering rotates them by a scalar phase so the widest
+empty arc straddles angle 0, and hands on the rotated eigensystem rather
+than the rotated matrix.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .linalg import (
     ToleranceConfig,
     UnitaryMatrix,
     _frozen,
-    as_square_array,
     unitarity_defect,
     unitary_from_angles,
 )
@@ -213,28 +213,18 @@ def _gap_of(angles) -> GapInfo:
     )
 
 
-@dataclass(frozen=True)
-class CenteredUnitary(UnitaryMatrix):
-    """A unitary rotated by center_gap, carrying the eigensystem it found.
-
-    The angles are shifted by -zeta (ascending in [0, 2pi), the gap around
-    0); the residual, measured on U, is unchanged by the scalar phase.
-    """
-
-    eigensystem: Eigensystem
-
-
 def center_gap(
     u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[CenteredUnitary, float, GapInfo]:
-    """Rotate a unitary by a scalar phase so its largest gap sits at angle 0.
+) -> tuple[Eigensystem, float, GapInfo]:
+    """Rotate a unitary's eigensystem so its largest gap sits at angle 0.
 
-    Returns (exp(-i*zeta) * U, zeta, centered gap). The centered gap is the
-    gap found on U moved by -zeta: center 0, the same half-width, and lo/hi
-    shifted mod 2pi. The rotated matrix carries U's eigensystem with the
-    angles moved the same way.
+    Returns (eigensystem of exp(-i*zeta) * U, zeta, centered gap). The
+    eigensystem is U's with every angle moved by -zeta mod 2pi, re-sorted
+    ascending in [0, 2pi) with the basis columns to match, so the gap
+    straddles 0; its residual, measured on U, is unchanged by the scalar
+    phase. The centered gap is the gap found on U moved the same way:
+    center 0, the same half-width, and lo/hi shifted mod 2pi.
     """
-    a = as_square_array(u, "unitary matrix")
     es = unitary_eigensystem(u, tolerances)
     gap = largest_gap(es)
     zeta = gap.center
@@ -246,6 +236,4 @@ def center_gap(
     )
     shifted = np.mod(es.angles - zeta, TWO_PI)
     order = np.argsort(shifted, kind="stable")
-    rotated = Eigensystem(shifted[order], es.basis[:, order], es.residual)
-    mat = np.exp(-1j * zeta) * a
-    return CenteredUnitary(mat, unitarity_defect(mat), rotated), float(zeta), centered
+    return Eigensystem(shifted[order], es.basis[:, order], es.residual), float(zeta), centered

@@ -96,6 +96,16 @@ class TestSmoothedCoefficients:
         for k in range(1, 65):
             assert lc.coefficient(-k) == np.conj(lc.coefficient(k))
 
+    @pytest.mark.parametrize("bad", [10.5, 10.0, float("nan"), 0, -3])
+    def test_rejects_non_integral_order(self, bad):
+        # 10.5 used to build 23 coefficients under trunc_order = 10
+        with pytest.raises(InvalidInputError, match="truncation order"):
+            laurent_coefficients(0.5, bad)
+
+    def test_accepts_numpy_integer_order(self):
+        lc = laurent_coefficients(0.5, np.int64(10))
+        assert lc.trunc_order == 10 and lc.coeffs.shape == (21,)
+
     def test_tail_formula(self):
         lc = laurent_coefficients(0.5, 100)
         assert lc.tail == pytest.approx(2 * lc.c_emp / (3 * 0.5 * 100**3), rel=1e-14)
@@ -180,33 +190,36 @@ class TestGappedLog:
         assert h.mat[0, 0] == pytest.approx(np.pi, abs=1e-6)
 
     def test_matches_direct_log(self):
-        u, _, _ = center_gap(gen_gapped_unitary(32, 0.8, 99))
+        u = gen_gapped_unitary(32, 0.8, 99)
+        es, zeta, _ = center_gap(u)
         order = choose_truncation(0.6, 1e-6)
-        h, lc = gapped_log(u, 0.6, order)
-        oracle = direct_log(u)
+        h, lc = gapped_log(es, 0.6, order)
+        oracle = direct_log(np.exp(-1j * zeta) * u.mat)
         assert operator_norm(h.mat - oracle.mat) <= lc.tail
 
     def test_exactly_hermitian(self):
-        u, _, _ = center_gap(gen_gapped_unitary(12, 0.7, 5))
-        h, lc = gapped_log(u, 0.35, choose_truncation(0.35, 1e-6))
+        u = gen_gapped_unitary(12, 0.7, 5)
+        es, zeta, _ = center_gap(u)
+        h, lc = gapped_log(es, 0.35, choose_truncation(0.35, 1e-6))
         assert h.defect <= 1e-12 * 12 * lc.trunc_order
         # every exactly symmetrized result records defect 0, and measuring agrees
-        oracle = direct_log(u)
+        oracle = direct_log(np.exp(-1j * zeta) * u.mat)
         pair = nearest_commuting_pair(h, oracle)
         for m in (h, oracle, pair.a_prime, pair.b_prime):
             assert m.defect == 0.0 == hermiticity_defect(m.mat)
 
     def test_spectrum_in_branch_window(self):
-        u, _, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))
-        h, lc = gapped_log(u, gap.half_width / 2, choose_truncation(gap.half_width / 2, 1e-6))
+        es, _, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))
+        h, lc = gapped_log(es, gap.half_width / 2, choose_truncation(gap.half_width / 2, 1e-6))
         w = np.linalg.eigvalsh(h.mat)
         assert np.all(w > gap.half_width - lc.tail)
         assert np.all(w < 2 * np.pi - gap.half_width + lc.tail)
 
     def test_round_trip_exponential(self):
-        u, _, gap = center_gap(gen_gapped_unitary(10, 1.1, 23))
-        h, _ = gapped_log(u, gap.half_width / 2, choose_truncation(gap.half_width / 2, 1e-6))
-        assert operator_norm(herm_exp(h).mat - u.mat) <= 1e-8 * 10
+        u = gen_gapped_unitary(10, 1.1, 23)
+        es, zeta, gap = center_gap(u)
+        h, _ = gapped_log(es, gap.half_width / 2, choose_truncation(gap.half_width / 2, 1e-6))
+        assert operator_norm(herm_exp(h).mat - np.exp(-1j * zeta) * u.mat) <= 1e-8 * 10
 
     def test_gap_precondition_error_carries_measurement(self):
         u = np.diag([1j, -1j])  # spectrum distance pi/2 from angle 0
@@ -218,27 +231,34 @@ class TestGappedLog:
         with pytest.raises(TruncationError):
             gapped_log(u, 1.0, 3, series_target=1e-9)
 
+    def test_nan_target_fails_the_tail_gate(self):
+        # tail > nan is False, so the gate must be written as tail <= target
+        with pytest.raises(TruncationError):
+            gapped_log(np.diag([1j, -1j]), 0.5, 100, float("nan"))
+
     def test_centered_input_matches_plain_array(self):
-        # the carried eigensystem is that of U, the plain array's that of
+        # the centered eigensystem is that of U, the plain array's that of
         # exp(-i*zeta)*U; each H is within weighted_sum * r of the series in
         # the same matrix
         u = gen_gapped_unitary(16, 0.7, 41)
-        cu, _, gap = center_gap(u)
+        es, zeta, gap = center_gap(u)
+        plain = np.exp(-1j * zeta) * u.mat
         gamma = gap.half_width / 2
         order = choose_truncation(gamma, 1e-6)
-        h_centered, lc = gapped_log(cu, gamma, order)
-        h_plain, _ = gapped_log(cu.mat, gamma, order)
-        r_centered = cu.eigensystem.residual
-        r_plain = unitary_eigensystem(cu.mat).residual
+        h_centered, lc = gapped_log(es, gamma, order)
+        h_plain, _ = gapped_log(plain, gamma, order)
+        r_centered = es.residual
+        r_plain = unitary_eigensystem(plain).residual
         bound = lc.weighted_sum() * (r_centered + r_plain) + 1e-13 * np.sum(np.abs(lc.coeffs))
         assert operator_norm(h_centered.mat - h_plain.mat) <= bound
 
     def test_centered_and_plain_reject_gamma_beyond_gap(self):
-        cu, _, gap = center_gap(gen_gapped_unitary(16, 0.7, 41))
+        u = gen_gapped_unitary(16, 0.7, 41)
+        es, zeta, gap = center_gap(u)
         for gamma in (gap.half_width * (1 + 1e-9), 1.1 * gap.half_width):
-            for u in (cu, cu.mat):
+            for centered in (es, np.exp(-1j * zeta) * u.mat):
                 with pytest.raises(PreconditionError):
-                    gapped_log(u, gamma, 50)
+                    gapped_log(centered, gamma, 50)
 
 
 def term_by_term(u, coeffs):
@@ -259,11 +279,12 @@ class TestPatersonStockmeyer:
     @pytest.mark.parametrize("n", [1, 5, 32])
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 1000])
     def test_matches_term_by_term(self, n, order):
-        cu, _, gap = center_gap(gen_gapped_unitary(n, 0.6, 100 * n + order))
-        h, lc = gapped_log(cu, gap.half_width / 2, order, series_target=np.inf)
-        t = term_by_term(cu.mat, lc.coeffs[order + 1:])
+        u = gen_gapped_unitary(n, 0.6, 100 * n + order)
+        es, zeta, gap = center_gap(u)
+        h, lc = gapped_log(es, gap.half_width / 2, order, series_target=np.inf)
+        t = term_by_term(np.exp(-1j * zeta) * u.mat, lc.coeffs[order + 1:])
         series = t + t.conj().T + np.pi * np.eye(n)
-        bound = lc.weighted_sum() * cu.eigensystem.residual + 1e-13 * np.sum(np.abs(lc.coeffs))
+        bound = lc.weighted_sum() * es.residual + 1e-13 * np.sum(np.abs(lc.coeffs))
         assert operator_norm(h.mat - series) <= bound
 
     def test_narrow_gap_long_series_within_tail(self):
@@ -285,7 +306,9 @@ class TestDirectLog:
         assert np.allclose(np.sort(np.linalg.eigvalsh(h.mat)), [1.0, 2.0], atol=1e-12)
 
     def test_round_trip(self):
-        u, _, _ = center_gap(gen_gapped_unitary(14, 0.5, 31))
-        h = direct_log(u)
-        assert operator_norm(herm_exp(h).mat - u.mat) <= 1e-8 * 14
+        u = gen_gapped_unitary(14, 0.5, 31)
+        _, zeta, _ = center_gap(u)
+        centered = np.exp(-1j * zeta) * u.mat
+        h = direct_log(centered)
+        assert operator_norm(herm_exp(h).mat - centered) <= 1e-8 * 14
 

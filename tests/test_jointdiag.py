@@ -282,3 +282,12 @@ class TestNearestCommutingPair:
     def test_options_validate(self):
         with pytest.raises(InvalidInputError):
             JadeOptions(max_sweeps=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, 3.0, "3"])
+    def test_max_sweeps_must_be_an_integer(self, bad):
+        # NaN would pass a bare < 1 check and run no sweep at all
+        with pytest.raises(InvalidInputError, match="max_sweeps"):
+            JadeOptions(max_sweeps=bad)
+
+    def test_max_sweeps_accepts_numpy_integers(self):
+        assert JadeOptions(max_sweeps=np.int64(3)).max_sweeps == 3

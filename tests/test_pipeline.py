@@ -1,5 +1,7 @@
 """End-to-end pipeline behavior and the commutator bound report."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,7 +29,11 @@ from nearcomm import (
     nearest_commuting_pair,
     operator_norm,
     pipeline,
+    spectral,
 )
+
+# the package re-exports the function gapped_log under its module's name
+gapped_log_module = importlib.import_module("nearcomm.gapped_log")
 
 
 def single_term_coefficients() -> LaurentCoefficients:
@@ -224,9 +230,33 @@ def eigvalsh_calls(monkeypatch):
     return _counting(monkeypatch, np.linalg, "eigvalsh")
 
 
+@pytest.fixture
+def defect_calls(monkeypatch):
+    """unitarity_defect calls, under every package name that binds it."""
+    calls = []
+    original = linalg.unitarity_defect
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    for module in (linalg, spectral, pipeline, gapped_log_module):
+        if getattr(module, "unitarity_defect", None) is original:
+            monkeypatch.setattr(module, "unitarity_defect", counting)
+    return calls
+
+
 class TestDecompositionCounts:
     """Each input is decomposed once, by one eigvalsh and one eigh of a
     Cayley transform; the logs and the outputs reuse the bases."""
+
+    def test_pair_measures_only_the_outputs_unitarity(self, defect_calls):
+        # typed inputs are trusted and the centered form is an eigensystem,
+        # so the only defects measured are those of X and Y
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+        defect_calls.clear()
+        near_commuting_unitaries(u, v)
+        assert defect_calls == [(8, 8)] * 2
 
     def test_pair_decomposes_each_input_once(self, schur_calls, eigvalsh_calls):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
@@ -262,12 +292,12 @@ class TestDecompositionCounts:
     def test_gapped_log_on_centered_input_decomposes_nothing(
         self, schur_calls, eigvalsh_calls, eigh_calls
     ):
-        cu, _, gap = center_gap(gen_gapped_unitary(8, 1.0, 3))
+        es, _, gap = center_gap(gen_gapped_unitary(8, 1.0, 3))
         schur_calls.clear()
         eigvalsh_calls.clear()
         eigh_calls.clear()
         gamma = gap.half_width / 2
-        gapped_log(cu, gamma, choose_truncation(gamma, 1e-6))
+        gapped_log(es, gamma, choose_truncation(gamma, 1e-6))
         assert schur_calls == eigvalsh_calls == eigh_calls == []
 
 
@@ -303,7 +333,9 @@ class TestTracedSurface:
         "module, name",
         [(pipeline, name) for name in ("center_gap", "certified_truncation", "gapped_log",
                                        "nearest_commuting_pair", "herm_exp", "commutator")]
-        + [(cli, name) for name in ("center_gap", "certified_truncation", "gapped_log")],
+        + [(cli, name) for name in ("center_gap", "certified_truncation", "gapped_log")]
+        + [(gapped_log_module, name) for name in ("unitary_eigensystem", "laurent_coefficients")]
+        + [(spectral, "unitary_eigensystem"), (mtxc, "read"), (mtxc, "write")],
     )
     def test_traced_names_are_bound(self, module, name):
         assert callable(getattr(module, name, None))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearcomm import (
     Eigensystem,
@@ -285,54 +287,78 @@ class TestLargestGap:
 class TestCenterGap:
     def test_already_centered_unchanged(self):
         u = np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 2)])
-        cu, zeta, gap = center_gap(u)
+        es, zeta, gap = center_gap(u)
         assert zeta == 0.0
-        assert np.array_equal(cu.mat, u)
+        assert np.array_equal(np.exp(-1j * zeta) * u, u)
+        plain = unitary_eigensystem(u)
+        assert np.array_equal(es.angles, plain.angles)
+        assert np.array_equal(es.basis, plain.basis)
 
     def test_hand_example(self):
         # angles {0, pi/2}: arcs (0, pi/2) and (pi/2, 2pi); the latter has
         # length 3pi/2 and center 5pi/4
         u = np.diag([1.0, np.exp(1j * np.pi / 2)])
-        cu, zeta, gap = center_gap(u)
+        es, zeta, gap = center_gap(u)
         assert zeta == pytest.approx(5 * np.pi / 4, abs=1e-12)
-        assert np.allclose(cu.mat, np.exp(-1j * zeta) * u, atol=1e-15)
+        assert np.allclose(es.reconstruct(), np.exp(-1j * zeta) * u, atol=1e-15)
+        assert np.allclose(es.angles, [3 * np.pi / 4, 5 * np.pi / 4], atol=1e-15)
         assert gap.center == pytest.approx(0.0, abs=1e-12)
         assert gap.half_width == pytest.approx(3 * np.pi / 4, abs=1e-12)
 
     def test_idempotent(self):
         u = gen_gapped_unitary(10, 0.6, 21)
-        cu, zeta1, gap1 = center_gap(u)
-        cu2, zeta2, gap2 = center_gap(cu)
+        _, zeta1, gap1 = center_gap(u)
+        _, zeta2, gap2 = center_gap(np.exp(-1j * zeta1) * u.mat)
         assert abs(wrap_to_pi(zeta2)) <= 1e-12
         assert gap2.half_width == pytest.approx(gap1.half_width, abs=1e-10)
 
     def test_tied_arcs_report_the_centered_arc(self):
         # five equally spaced eigenvalues leave five arcs of equal length;
         # the returned gap must be the one moved to angle 0, not another tie
-        cu, _, gap = center_gap(np.exp(0.3j) * gen_voiculescu_pair(5)[0].mat)
+        u = np.exp(0.3j) * gen_voiculescu_pair(5)[0].mat
+        es, zeta, gap = center_gap(u)
         assert gap.center == 0.0
         assert gap.half_width == pytest.approx(np.pi / 5, abs=1e-12)
-        angles = unitary_eigensystem(cu).angles
-        assert np.min(np.abs(wrap_to_pi(angles))) >= gap.half_width - 1e-12
+        for angles in (es.angles, unitary_eigensystem(np.exp(-1j * zeta) * u).angles):
+            assert np.min(np.abs(wrap_to_pi(angles))) >= gap.half_width - 1e-12
 
     def test_carries_the_rotated_eigensystem(self):
         # the phase moves the gap away from 0, so the shift reorders the angles
         u = np.exp(2j) * gen_gapped_unitary(12, 0.5, 7).mat
-        cu, zeta, gap = center_gap(u)
-        es, plain = cu.eigensystem, unitary_eigensystem(u)
+        es, zeta, gap = center_gap(u)
+        plain = unitary_eigensystem(u)
+        assert isinstance(es, Eigensystem)
         assert np.all(np.diff(es.angles) >= 0)
         assert np.all((es.angles >= 0) & (es.angles < TWO_PI))
         assert np.min(np.abs(wrap_to_pi(es.angles))) == pytest.approx(gap.half_width, abs=1e-12)
         assert np.allclose(np.sort(np.mod(plain.angles - zeta, TWO_PI)), es.angles, atol=1e-15)
         assert es.residual == plain.residual > 0.0
-        assert operator_norm(es.reconstruct() - cu.mat) <= es.residual + 1e-14
+        assert operator_norm(es.reconstruct() - np.exp(-1j * zeta) * u) <= es.residual + 1e-14
 
     def test_spectrum_avoids_centered_gap(self):
         for seed in range(5):
             u = haar_unitary(9, stream_rng(100, seed))
-            cu, _, gap = center_gap(u)
-            es = unitary_eigensystem(cu)
+            _, zeta, gap = center_gap(u)
+            es = unitary_eigensystem(np.exp(-1j * zeta) * u)
             assert np.min(np.abs(wrap_to_pi(es.angles))) > gap.half_width - 1e-10
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 16),
+        st.floats(0.05, 1.5),
+        st.integers(0, 2**16),
+        st.floats(0.0, TWO_PI, exclude_max=True),
+    )
+    def test_phase_covariant(self, n, delta, seed, alpha):
+        # center_gap(e^{i*alpha} U) finds the same gap moved by alpha and
+        # the same centered matrix
+        u = gen_gapped_unitary(n, delta, seed).mat
+        es, zeta, gap = center_gap(u)
+        es_a, zeta_a, gap_a = center_gap(np.exp(1j * alpha) * u)
+        assert gap_a.half_width == pytest.approx(gap.half_width, abs=1e-12)
+        assert abs(wrap_to_pi(zeta_a - zeta - alpha)) <= 1e-12
+        slack = es.residual + es_a.residual + 1e-13
+        assert operator_norm(es.reconstruct() - es_a.reconstruct()) <= slack
 
     def test_phase_preserves_commutator(self):
         rng = np.random.default_rng(12)
