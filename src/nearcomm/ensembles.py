@@ -7,6 +7,8 @@ bit-identical matrices no matter how calls are scheduled.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError
@@ -50,9 +52,9 @@ def random_hermitian_unit_norm(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_ensemble_params(n: int, delta: float) -> None:
-    """Reject a dimension below 1, then a gap half-width outside (0, pi)."""
-    if n < 1:
-        raise InvalidInputError(f"dimension must be positive, got {n}")
+    """Reject a dimension that is not an integer >= 1, then a gap half-width outside (0, pi)."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidInputError(f"dimension must be an integer >= 1, got {n}")
     if not 0 < delta < np.pi:
         raise InvalidInputError(f"delta must lie in (0, pi), got {delta}")
 
@@ -117,8 +119,8 @@ def gen_voiculescu_pair(n: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     half-width is pi/n; the pair asymptotically commutes as n grows yet
     stays far from any commuting pair.
     """
-    if n < 2:
-        raise InvalidInputError(f"need n >= 2, got {n}")
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise InvalidInputError(f"need an integer n >= 2, got {n}")
     omega = np.exp(2j * np.pi / n)
     clock = np.diag(omega ** np.arange(n))
     shift = np.zeros((n, n), dtype=np.complex128)

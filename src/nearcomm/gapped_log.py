@@ -184,22 +184,40 @@ def certified_truncation(gamma: float, target: float) -> int:
     return choose_truncation(gamma, target)
 
 
+@dataclass(frozen=True)
+class SeriesLog(HermitianMatrix):
+    """H = Z diag(values) Z^H, with values = g_K(theta) on the eigensystem (Z, theta).
+
+    values[j] is H's eigenvalue on column j of the basis gapped_log summed
+    on, so exp(iH) can be formed on that basis without summing the series
+    again.
+    """
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "values", _frozen(self.values, np.float64))
+
+
 def gapped_log(
     u,
     gamma: float,
     trunc_order: int,
     series_target: float = 1e-6,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> tuple[HermitianMatrix, LaurentCoefficients]:
+) -> tuple[SeriesLog, LaurentCoefficients]:
     """Hermitian H = g_K(U) = sum_{|k|<=K} c_k U^k, K = trunc_order, with exp(iH) = U.
 
     Requires the spectrum of U to stay more than gamma away from angle 0
     (gap centered there) and the certified tail to meet series_target.
     g_K is summed on the eigenangles: H = Z diag(g_K(theta)) Z^H, made
-    exactly Hermitian by hermitian_part. An Eigensystem, such as the one
+    exactly Hermitian by hermitian_part, and returned with the values
+    g_K(theta) it was summed from. An Eigensystem, such as the one
     center_gap returns, is used as given; any other input is decomposed
     here. H is thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
-    weighted_sum() * r of the series in U for the residual r = |U~ - U|.
+    weighted_sum() * r of the series in U for any r >= |U~ - U|, such as
+    the eigensystem's residual.
     """
     es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u, tolerances)
     measured = float(np.min(np.abs(wrap_to_pi(es.angles))))
@@ -216,7 +234,9 @@ def gapped_log(
             tail=lc.tail,
             target=series_target,
         )
-    return hermitian_part((es.basis * lc.evaluate(es.angles)) @ es.basis.conj().T), lc
+    values = lc.evaluate(es.angles)
+    h = hermitian_part((es.basis * values) @ es.basis.conj().T)
+    return SeriesLog(h.mat, h.defect, values), lc
 
 
 def direct_log(u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:

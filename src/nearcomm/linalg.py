@@ -5,10 +5,14 @@ operator norm induced by the Euclidean vector norm, i.e. the largest
 singular value. Structural properties (unitarity, hermiticity) are tracked
 as defects against configurable tolerances that scale linearly with the
 dimension; the tolerance checks live here, in from_array. A defect is
-measured where a matrix enters from outside (a plain array passed to
-from_array or to a function that takes one) or where rounding can break
-the property (the output of an exponential), and it is recorded as 0 for
-an exact symmetrization (hermitian_part). A typed argument carries its
+checked where a matrix enters from outside (a plain array passed to
+from_array or to a function that takes one) and measured where rounding
+can break the property (the output of an exponential); it is recorded as
+0 for an exact symmetrization (hermitian_part). An entry check records
+gated_norm of the defect matrix, a certified upper bound within sqrt(n)
+of its operator norm that meets the tolerance exactly when that norm
+does; a reported defect (unitarity_defect, hermiticity_defect,
+certified_unitary) is the exact operator norm. A typed argument carries its
 certificate and is not measured again; a HermitianMatrix is built only
 with a defect its O(n^2) Frobenius bound does not contradict.
 """
@@ -99,7 +103,7 @@ class HermitianMatrix(_CertifiedMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        skew = float(np.linalg.norm(self.mat - self.mat.conj().T))
+        skew = _frobenius(self.mat - self.mat.conj().T)
         if not skew <= math.sqrt(self.n) * self.defect * (1.0 + 1e-9):
             raise InvalidInputError(
                 f"recorded hermiticity defect {self.defect:.3e} is below the measured "
@@ -109,9 +113,9 @@ class HermitianMatrix(_CertifiedMatrix):
     @classmethod
     def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "HermitianMatrix":
         a = as_square_array(m)
-        d = hermiticity_defect(a)
         tol = tolerances.hermiticity(a.shape[0])
-        if d > tol:
+        d = gated_norm(a - a.conj().T, tol)
+        if not d <= tol:
             raise InvalidInputError(f"hermiticity defect {d:.3e} exceeds tolerance {tol:.3e}")
         return cls(a, d)
 
@@ -122,9 +126,9 @@ class UnitaryMatrix(_CertifiedMatrix):
     @classmethod
     def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "UnitaryMatrix":
         a = as_square_array(m)
-        d = unitarity_defect(a)
         tol = tolerances.unitarity(a.shape[0])
-        if d > tol:
+        d = gated_norm(a.conj().T @ a - np.eye(a.shape[0]), tol)
+        if not d <= tol:  # a NaN defect, from a product that overflowed, fails too
             raise InvalidInputError(f"unitarity defect {d:.3e} exceeds tolerance {tol:.3e}")
         return cls(a, d)
 
@@ -146,6 +150,27 @@ def operator_norm(m) -> float:
     """Largest singular value (spectral norm) of a square complex matrix."""
     a = as_square_array(m)
     return float(np.linalg.norm(a, ord=2))
+
+
+def gated_norm(e: np.ndarray, tol: float) -> float:
+    """An upper bound on |E| that is <= tol exactly when |E| is.
+
+    |E| <= |E|_F <= sqrt(n) |E| (Golub & Van Loan, Matrix Computations,
+    2.3), so an O(n^2) Frobenius norm within tol decides the check and is
+    returned; only when it exceeds tol is the SVD taken and the exact
+    operator norm returned. The Frobenius norm is raised by a bound on its
+    rounding error (the moduli, the scaling, the sum of n^2 squares and the
+    root), so it stays above the exact |E|_F.
+    """
+    f = _frobenius(e) * (1.0 + (e.size + 5) * np.finfo(float).eps)
+    return f if f <= tol else float(np.linalg.norm(e, ord=2))
+
+
+def _frobenius(e: np.ndarray) -> float:
+    """|E|_F, from the entry moduli scaled by the largest so no square underflows to 0."""
+    mod = np.abs(e)
+    s = float(np.max(mod))
+    return s * float(np.linalg.norm(mod / s)) if s != 0.0 else 0.0
 
 
 def commutator(m, n) -> np.ndarray:
@@ -188,7 +213,7 @@ def certified_unitary(
     """
     n = m.shape[0]
     d = unitarity_defect(m)
-    if d > tolerances.unitarity(n):
+    if not d <= tolerances.unitarity(n):
         raise NumericalError(f"{what} lost unitarity: defect {d:.3e} for {n}x{n} input")
     return UnitaryMatrix(m, d)
 

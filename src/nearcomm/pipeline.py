@@ -168,14 +168,16 @@ def near_commuting_unitaries(
     center_gap returns the eigensystem (Z, Theta) of the centered input
     U_c = e^{-i*zeta1} U; U_c itself is never formed. The log H_u = g_K(U~)
     is summed on it, so it is a function of the reconstruction
-    U~ = Z e^{i*Theta} Z^H, not of U_c; r_u = |U~ - U_c| is the residual
-    that eigensystem carries, es_u.residual below. The joint
-    diagonalization returns the common basis Q and the diagonals a, b of
-    A' and B'. No matrix is decomposed again: the outputs are
-    X = Q diag(e^{i(a + zeta1)}) Q^H = e^{i*zeta1} exp(iA') and Y likewise,
+    U~ = Z e^{i*Theta} Z^H, not of U_c; r_u >= |U~ - U_c| is the certified
+    bound on that residual which the eigensystem carries, es_u.residual
+    below (within sqrt(n) of the exact norm). The joint diagonalization
+    returns the common basis Q and the diagonals a, b of A' and B'. No
+    matrix is decomposed again and no series is summed again: the outputs
+    are X = Q diag(e^{i(a + zeta1)}) Q^H = e^{i*zeta1} exp(iA') and Y likewise,
     and the Lipschitz check compares X with
-    e^{i*zeta1} exp(iH_u) = Z diag(e^{i(g_K(Theta) + zeta1)}) Z^H. The
-    checks on the way account for r_u:
+    e^{i*zeta1} exp(iH_u) = Z diag(e^{i(g_K(Theta) + zeta1)}) Z^H, from the
+    values g_K(Theta) that gapped_log returns with H_u. The checks on the
+    way account for r_u:
 
     - Log commutator. |U~^k - U_c^k| <= |k| r_u, so H_u = P_u + D_u with
       P_u the series in U_c itself and |D_u| <= e_u = tail_u +
@@ -235,8 +237,8 @@ def near_commuting_unitaries(
 
     x_mat = unitary_from_angles(pair.basis, pair.diag_a + zeta1)
     y_mat = unitary_from_angles(pair.basis, pair.diag_b + zeta2)
-    ref_u = unitary_from_angles(es_u.basis, coeffs_u.evaluate(es_u.angles) + zeta1)
-    ref_v = unitary_from_angles(es_v.basis, coeffs_v.evaluate(es_v.angles) + zeta2)
+    ref_u = unitary_from_angles(es_u.basis, log_u.values + zeta1)
+    ref_v = unitary_from_angles(es_v.basis, log_v.values + zeta2)
     exp_dist_a = operator_norm(x_mat - ref_u)
     exp_dist_b = operator_norm(y_mat - ref_v)
     if exp_dist_a > herm_dist_a + 1e-10 * n or exp_dist_b > herm_dist_b + 1e-10 * n:

@@ -12,8 +12,8 @@ cot(d/2) for the distance d from psi to the nearest eigenangle, which
 sets how well that basis is resolved. The largest gap has half-width
 h >= pi/n, so a probe at its center gives |H| <= cot(h/2) <=
 cot(pi/(2n)) ~ 2n/pi; a probe is kept only while d >= h/2, so
-|H| < 4n/pi on every eigenbasis returned. The reconstruction residual of
-that basis is measured and certifies it. Gap discovery works on the
+|H| < 4n/pi on every eigenbasis returned. A certified bound on the
+basis's reconstruction residual certifies it. Gap discovery works on the
 sorted eigenangles; centering rotates them by a scalar phase so the widest
 empty arc straddles angle 0, and hands on the rotated eigensystem rather
 than the rotated matrix.
@@ -31,6 +31,7 @@ from .linalg import (
     ToleranceConfig,
     UnitaryMatrix,
     _frozen,
+    gated_norm,
     unitarity_defect,
     unitary_from_angles,
 )
@@ -60,9 +61,10 @@ class Eigensystem:
     """Eigenangles in [0, 2pi), ascending, with an orthonormal eigenbasis.
 
     basis column j is the eigenvector belonging to angles[j]; the matrix is
-    reconstructed as sum_j exp(i*angles[j]) v_j v_j^H. residual is the
-    measured operator norm of that reconstruction minus the matrix it was
-    computed from (0 for an eigensystem given exactly).
+    reconstructed as sum_j exp(i*angles[j]) v_j v_j^H. residual is a
+    certified upper bound on the operator norm of that reconstruction minus
+    the matrix it was computed from, at most sqrt(n) times that norm (0 for
+    an eigensystem given exactly).
     """
 
     angles: np.ndarray
@@ -117,7 +119,7 @@ def _check_unitary(a: np.ndarray, tol: float) -> None:
     a defect it does not have.
     """
     defect = unitarity_defect(a)
-    if defect > tol:
+    if not defect <= tol:
         raise InvalidInputError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}")
 
 
@@ -138,11 +140,12 @@ def unitary_eigensystem(
     A UnitaryMatrix is trusted; a plain array is checked by
     UnitaryMatrix.from_array. The Rayleigh quotients must lie within
     MODULUS_TOL of the unit circle, and the reconstruction residual
-    |Z diag(e^{i*angles}) Z^H - U|, the certificate the eigensystem
-    carries, must stay within tolerances.unitarity(n). When either check
-    fails, the input's unitarity defect is measured first, so a
-    non-unitary input is rejected as invalid rather than reported as a
-    numerical failure.
+    |Z diag(e^{i*angles}) Z^H - U| must stay within
+    tolerances.unitarity(n); the eigensystem carries gated_norm of that
+    difference, the certified bound the gate reads, as its residual.
+    When either check fails, the input's unitarity defect is measured
+    first, so a non-unitary input is rejected as invalid rather than
+    reported as a numerical failure.
     """
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix.from_array(u, tolerances)
@@ -176,8 +179,8 @@ def unitary_eigensystem(
             continue
         order = np.argsort(angles, kind="stable")
         angles, z = angles[order], z[:, order]
-        resid = float(np.linalg.norm(unitary_from_angles(z, angles) - a, ord=2))
-        if resid > tol:
+        resid = gated_norm(unitary_from_angles(z, angles) - a, tol)
+        if not resid <= tol:
             _check_unitary(a, tol)
             raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
         return Eigensystem(angles, z, resid)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
 
@@ -40,8 +41,8 @@ class ExperimentConfig:
             raise InvalidInputError("epsilons must be finite and nonnegative")
         if list(eps) != sorted(eps, reverse=True):
             raise InvalidInputError("epsilons must be sorted descending")
-        if self.trials < 1:
-            raise InvalidInputError("trials must be >= 1")
+        if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
+            raise InvalidInputError(f"trials must be an integer >= 1, got {self.trials}")
         check_ensemble_params(self.n, self.delta)
 
 

@@ -42,6 +42,15 @@ class TestGappedUnitary:
         with pytest.raises(InvalidInputError):
             gen_gapped_unitary(4, np.pi, 1)
 
+    @pytest.mark.parametrize("n", [4.0, 4.5, float("nan")])
+    def test_rejects_non_integral_dimension(self, n):
+        with pytest.raises(InvalidInputError, match="dimension must be an integer"):
+            gen_gapped_unitary(n, 1.0, 1)
+
+    def test_numpy_integer_dimension(self):
+        assert np.array_equal(gen_gapped_unitary(np.int64(3), 1.0, 1).mat,
+                              gen_gapped_unitary(3, 1.0, 1).mat)
+
 
 class TestHaar:
     def test_unitary(self):
@@ -118,3 +127,8 @@ class TestVoiculescu:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidInputError):
             gen_voiculescu_pair(1)
+
+    @pytest.mark.parametrize("n", [4.0, 4.5])
+    def test_rejects_non_integral_n(self, n):
+        with pytest.raises(InvalidInputError, match="integer"):
+            gen_voiculescu_pair(n)

@@ -208,6 +208,15 @@ class TestGappedLog:
         for m in (h, oracle, pair.a_prime, pair.b_prime):
             assert m.defect == 0.0 == hermiticity_defect(m.mat)
 
+    def test_returns_the_values_it_summed(self):
+        es, _, gap = center_gap(gen_gapped_unitary(12, 0.7, 5))
+        gamma = gap.half_width / 2
+        h, lc = gapped_log(es, gamma, choose_truncation(gamma, 1e-6))
+        assert np.array_equal(h.values, lc.evaluate(es.angles))
+        assert not h.values.flags.writeable
+        expected = (es.basis * h.values) @ es.basis.conj().T
+        assert np.array_equal(h.mat, (expected + expected.conj().T) / 2.0)
+
     def test_spectrum_in_branch_window(self):
         es, _, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))
         h, lc = gapped_log(es, gap.half_width / 2, choose_truncation(gap.half_width / 2, 1e-6))

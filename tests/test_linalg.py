@@ -20,7 +20,7 @@ from nearcomm import (
     unitarity_defect,
     unitary_eigensystem,
 )
-from nearcomm.linalg import hermitian_part
+from nearcomm.linalg import gated_norm, hermitian_part
 
 RNG = np.random.default_rng(20240811)
 
@@ -253,3 +253,64 @@ class TestTypes:
         tols = ToleranceConfig()
         assert tols.unitarity(4) == pytest.approx(4e-8)
         assert tols.commute(4) == pytest.approx(4e-10)
+
+
+class TestGatedNorm:
+    """Entry checks decide on |E|_F when it meets the tolerance, else on the SVD norm."""
+
+    @PROPERTY
+    @given(complex_matrices(), st.floats(-300.0, 300.0), st.floats(1e-6, 1.0), st.booleans())
+    def test_accepts_exactly_when_the_operator_norm_does(self, e, log_scale, margin, above):
+        e = e * 10.0**log_scale
+        exact = operator_norm(e)
+        if not 0.0 < exact < np.inf:
+            return
+        tol = exact * np.exp(margin if above else -margin)
+        got = gated_norm(e, tol)
+        assert (got <= tol) == above
+        n = e.shape[0]
+        assert exact * (1 - 1e-12) <= got <= np.sqrt(n) * exact * (1 + 1e-9)
+        if got > tol:
+            assert got == exact
+
+    def test_frobenius_recorded_when_it_passes(self):
+        u = UnitaryMatrix.from_array(haar_unitary(6, stream_rng(4)) * (1 + 1e-12))
+        e = u.mat.conj().T @ u.mat - np.eye(6)
+        assert u.defect == pytest.approx(float(np.linalg.norm(e)), rel=1e-14)
+        assert u.defect >= unitarity_defect(u.mat)
+
+    def test_overflowing_defect_is_rejected(self):
+        # A^H A overflows, so the defect reads NaN; a NaN must not pass the check
+        with np.errstate(all="ignore"), pytest.raises(InvalidInputError, match="unitarity"):
+            UnitaryMatrix.from_array(np.array([[1e200, 1e200], [1e200, -1e200]]))
+
+    def test_constructor_sees_a_tiny_skew(self):
+        # an unscaled |M - M^H|_F underflows to 0 here and let the false defect 0 through
+        with pytest.raises(InvalidInputError, match="recorded hermiticity defect"):
+            HermitianMatrix(np.array([[0.0, 1e-170], [0.0, 0.0]]), 0.0)
+
+    def test_tiny_entries_do_not_underflow(self):
+        # an unscaled sum of squares reads 0 here; both paths give |E| = |E|_F = 3e-170
+        e = np.full((3, 3), 1e-170 + 0j)
+        assert gated_norm(e, 1.0) == pytest.approx(3e-170, rel=1e-14)
+        assert gated_norm(e, 1e-171) == pytest.approx(3e-170, rel=1e-14)
+        assert gated_norm(np.zeros((2, 2)), 1e-300) == 0.0
+
+    def test_unitary_between_operator_and_frobenius_norm(self):
+        # E = (s^2 - 1) I_4: |E| = 3e-6 meets tol = 4 * 1e-6, |E|_F = 6e-6 does not
+        tols = ToleranceConfig(unitarity_tol=1e-6)
+        a = np.sqrt(1 + 3e-6) * np.eye(4)
+        u = UnitaryMatrix.from_array(a, tols)
+        assert u.defect == unitarity_defect(a) == pytest.approx(3e-6, rel=1e-9)
+        with pytest.raises(InvalidInputError, match="unitarity defect"):
+            UnitaryMatrix.from_array(np.sqrt(1 + 4e-6 * (1 + 1e-6)) * np.eye(4), tols)
+
+    def test_hermitian_between_operator_and_frobenius_norm(self):
+        # |M - M^T| = 1.5e-6 meets tol = 2 * 1e-6, |M - M^T|_F = 2.1e-6 does not
+        tols = ToleranceConfig(hermiticity_tol=1e-6)
+        m = np.array([[0.0, 1.0], [1.0 + 1.5e-6, 0.0]])
+        h = HermitianMatrix.from_array(m, tols)
+        assert h.defect == hermiticity_defect(m) == pytest.approx(1.5e-6, rel=1e-9)
+        with pytest.raises(InvalidInputError, match="hermiticity defect"):
+            HermitianMatrix.from_array(np.array([[0.0, 1.0], [1.0 + 2e-6 * (1 + 1e-6), 0.0]]),
+                                       tols)

@@ -258,6 +258,27 @@ class TestDecompositionCounts:
         near_commuting_unitaries(u, v)
         assert defect_calls == [(8, 8)] * 2
 
+    def test_cli_log_measures_no_defect(self, defect_calls, tmp_path, capsys):
+        # the input's entry check passes on its Frobenius bound; no SVD is taken
+        u_path = tmp_path / "u.mtxc"
+        mtxc.write(u_path, gen_gapped_unitary(8, 1.0, 3).mat)
+        defect_calls.clear()
+        assert cli.main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc")]) == cli.EXIT_OK
+        assert defect_calls == []
+
+    def test_pair_sums_each_series_once(self, monkeypatch):
+        calls = []
+        evaluate = LaurentCoefficients.evaluate
+
+        def counting(self, theta):
+            calls.append(np.shape(theta))
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(LaurentCoefficients, "evaluate", counting)
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+        near_commuting_unitaries(u, v)
+        assert calls == [(8,)] * 2
+
     def test_pair_decomposes_each_input_once(self, schur_calls, eigvalsh_calls):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
         schur_calls.clear()

@@ -45,6 +45,20 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             small_config(trials=0)
 
+    @pytest.mark.parametrize("trials", [float("nan"), 1.5, 2.0])
+    def test_trials_must_be_integral(self, trials):
+        with pytest.raises(InvalidInputError, match="trials must be an integer"):
+            small_config(trials=trials)
+
+    @pytest.mark.parametrize("n", [4.5, 4.0, float("nan")])
+    def test_dimension_must_be_integral(self, n):
+        with pytest.raises(InvalidInputError, match="dimension must be an integer"):
+            small_config(n=n)
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_config(n=np.int64(4), trials=np.int32(2))
+        assert (cfg.n, cfg.trials) == (4, 2)
+
     @pytest.mark.parametrize("delta", [0.0, -1.0, np.pi, 4.0, float("nan")])
     def test_delta_in_open_interval(self, delta):
         with pytest.raises(InvalidInputError):
