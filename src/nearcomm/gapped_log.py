@@ -211,11 +211,11 @@ def gapped_log(
 
     Requires the spectrum of U to stay more than gamma away from angle 0
     (gap centered there) and the certified tail to meet series_target.
-    g_K is summed on the eigenangles: H = Z diag(g_K(theta)) Z^H, made
-    exactly Hermitian by hermitian_part, and returned with the values
-    g_K(theta) it was summed from. An Eigensystem, such as the one
-    center_gap returns, is used as given; any other input is decomposed
-    here. H is thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
+    g_K is summed on the eigenangles: M = Z diag(g_K(theta)) Z^H is made
+    exactly Hermitian as hermitian_part does, H = (M + M^H)/2 with defect
+    0, and H is returned with the values g_K(theta) it was summed from.
+    An Eigensystem, such as the one center_gap returns, is used as given;
+    any other input is decomposed here. H is thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
     weighted_sum() * r of the series in U for any r >= |U~ - U|, such as
     the eigensystem's residual.
     """
@@ -235,8 +235,8 @@ def gapped_log(
             target=series_target,
         )
     values = lc.evaluate(es.angles)
-    h = hermitian_part((es.basis * values) @ es.basis.conj().T)
-    return SeriesLog(h.mat, h.defect, values), lc
+    m = (es.basis * values) @ es.basis.conj().T
+    return SeriesLog((m + m.conj().T) / 2.0, 0.0, values), lc
 
 
 def direct_log(u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:

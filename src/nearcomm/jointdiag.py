@@ -102,8 +102,12 @@ def off_measure(a, b) -> float:
     mb = as_square_array(b, "second matrix")
     if ma.shape != mb.shape:
         raise InvalidInputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    mask = ~np.eye(ma.shape[0], dtype=bool)
-    return float(np.sum(np.abs(ma[mask]) ** 2) + np.sum(np.abs(mb[mask]) ** 2))
+    return _off((ma, mb), ~np.eye(ma.shape[0], dtype=bool))
+
+
+def _off(w, mask: np.ndarray) -> float:
+    """off_measure of the pair w = (A, B), given the off-diagonal mask, unchecked."""
+    return float(np.sum(np.abs(w[0][mask]) ** 2) + np.sum(np.abs(w[1][mask]) ** 2))
 
 
 def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +163,11 @@ def nearest_commuting_pair(
     _, basis = np.linalg.eigh(ma + _WARM_START_WEIGHT * mb)
     w = basis.conj().T @ np.stack((ma, mb)) @ basis
     eye = np.eye(n)
+    mask = ~np.eye(n, dtype=bool)
     scale = float(np.sum(np.abs(ma) ** 2) + np.sum(np.abs(mb) ** 2))
     floor = 1e-30 * max(scale, 1.0)
 
-    history = [off_measure(*w)]
+    history = [_off(w, mask)]
     converged = history[0] <= floor
     while not converged and len(history) <= opts.max_sweeps:
         prev = history[-1]
@@ -173,7 +178,7 @@ def nearest_commuting_pair(
         for _ in range(_MAX_HALVINGS):
             g = np.linalg.solve(eye - x / 2.0, eye + x / 2.0)
             trial = g.conj().T @ w @ g
-            cur = off_measure(*trial)
+            cur = _off(trial, mask)
             if cur <= prev:
                 break
             x = x / 2.0

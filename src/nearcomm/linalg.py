@@ -2,7 +2,8 @@
 
 All matrices are square complex128 arrays. The norm used throughout is the
 operator norm induced by the Euclidean vector norm, i.e. the largest
-singular value. Structural properties (unitarity, hermiticity) are tracked
+singular value, computed as the root of the Gram matrix's top eigenvalue
+(_spectral_norm). Structural properties (unitarity, hermiticity) are tracked
 as defects against configurable tolerances that scale linearly with the
 dimension; the tolerance checks live here, in from_array. A defect is
 checked where a matrix enters from outside (a plain array passed to
@@ -103,7 +104,7 @@ class HermitianMatrix(_CertifiedMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        skew = _frobenius(self.mat - self.mat.conj().T)
+        skew = _frobenius(_skew(self.mat))
         if not skew <= math.sqrt(self.n) * self.defect * (1.0 + 1e-9):
             raise InvalidInputError(
                 f"recorded hermiticity defect {self.defect:.3e} is below the measured "
@@ -114,7 +115,7 @@ class HermitianMatrix(_CertifiedMatrix):
     def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "HermitianMatrix":
         a = as_square_array(m)
         tol = tolerances.hermiticity(a.shape[0])
-        d = gated_norm(a - a.conj().T, tol)
+        d = gated_norm(_skew(a), tol)
         if not d <= tol:
             raise InvalidInputError(f"hermiticity defect {d:.3e} exceeds tolerance {tol:.3e}")
         return cls(a, d)
@@ -127,7 +128,7 @@ class UnitaryMatrix(_CertifiedMatrix):
     def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "UnitaryMatrix":
         a = as_square_array(m)
         tol = tolerances.unitarity(a.shape[0])
-        d = gated_norm(a.conj().T @ a - np.eye(a.shape[0]), tol)
+        d = gated_norm(_gram_defect(a), tol)
         if not d <= tol:  # a NaN defect, from a product that overflowed, fails too
             raise InvalidInputError(f"unitarity defect {d:.3e} exceeds tolerance {tol:.3e}")
         return cls(a, d)
@@ -136,7 +137,7 @@ class UnitaryMatrix(_CertifiedMatrix):
 def hermitian_part(m) -> HermitianMatrix:
     """(M + M^H)/2, recorded with defect 0.0.
 
-    No SVD is needed to certify the result: entry (j, i) is computed from
+    No norm is needed to certify the result: entry (j, i) is computed from
     the same two numbers as entry (i, j), and in IEEE arithmetic
     x - y == -(y - x), so the result equals its conjugate transpose
     exactly. An M that is already exactly Hermitian comes back bit for bit
@@ -148,8 +149,29 @@ def hermitian_part(m) -> HermitianMatrix:
 
 def operator_norm(m) -> float:
     """Largest singular value (spectral norm) of a square complex matrix."""
-    a = as_square_array(m)
-    return float(np.linalg.norm(a, ord=2))
+    return _spectral_norm(as_square_array(m))
+
+
+def _spectral_norm(a: np.ndarray) -> float:
+    """|A|_2 = sqrt(lambda_max(B^H B)) * s, for B = A/s and s = max |a_ij|.
+
+    The largest singular value is the root of the Gram matrix's top
+    eigenvalue (Golub & Van Loan, Matrix Computations, 2.3 and 8.6), and
+    one Hermitian eigvalsh finds it at well under the cost of an SVD.
+    Dividing by s first puts the Gram entries at order 1, so entries out to
+    1e+-300 neither overflow nor underflow in it. A non-finite A ends as
+    LAPACK's SVD ends it: an entry of NaN modulus raises LinAlgError, and
+    an infinite one gives NaN.
+    """
+    s = float(np.max(np.abs(a)))
+    if math.isnan(s):
+        raise np.linalg.LinAlgError("operator norm of a matrix with a NaN entry")
+    if s == 0.0:
+        return 0.0
+    if s == math.inf:
+        return math.nan
+    b = a / s
+    return s * math.sqrt(max(float(np.linalg.eigvalsh(b.conj().T @ b)[-1]), 0.0))
 
 
 def gated_norm(e: np.ndarray, tol: float) -> float:
@@ -157,20 +179,38 @@ def gated_norm(e: np.ndarray, tol: float) -> float:
 
     |E| <= |E|_F <= sqrt(n) |E| (Golub & Van Loan, Matrix Computations,
     2.3), so an O(n^2) Frobenius norm within tol decides the check and is
-    returned; only when it exceeds tol is the SVD taken and the exact
-    operator norm returned. The Frobenius norm is raised by a bound on its
-    rounding error (the moduli, the scaling, the sum of n^2 squares and the
-    root), so it stays above the exact |E|_F.
+    returned; only when it exceeds tol is the operator norm computed
+    (_spectral_norm) and returned. The Frobenius norm is raised by a bound
+    on its rounding error (the moduli, the scaling, the sum of n^2 squares
+    and the root), so it stays above the exact |E|_F.
     """
     f = _frobenius(e) * (1.0 + (e.size + 5) * np.finfo(float).eps)
-    return f if f <= tol else float(np.linalg.norm(e, ord=2))
+    return f if f <= tol else _spectral_norm(e)
 
 
 def _frobenius(e: np.ndarray) -> float:
-    """|E|_F, from the entry moduli scaled by the largest so no square underflows to 0."""
+    """|E|_F, from the entry moduli scaled by the largest so no square underflows to 0.
+
+    Infinite or NaN entries give inf or NaN, without a warning.
+    """
     mod = np.abs(e)
     s = float(np.max(mod))
-    return s * float(np.linalg.norm(mod / s)) if s != 0.0 else 0.0
+    if s == 0.0:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return s * float(np.linalg.norm(mod / s))
+
+
+def _gram_defect(a: np.ndarray) -> np.ndarray:
+    """A^H A - I; entries past the float range read inf or NaN, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a.conj().T @ a - np.eye(a.shape[0])
+
+
+def _skew(a: np.ndarray) -> np.ndarray:
+    """A - A^H; entries past the float range read inf or NaN, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a - a.conj().T
 
 
 def commutator(m, n) -> np.ndarray:
@@ -184,14 +224,12 @@ def commutator(m, n) -> np.ndarray:
 
 def unitarity_defect(m) -> float:
     """Operator norm of M^H M - I."""
-    a = as_square_array(m)
-    return float(np.linalg.norm(a.conj().T @ a - np.eye(a.shape[0]), ord=2))
+    return _spectral_norm(_gram_defect(as_square_array(m)))
 
 
 def hermiticity_defect(m) -> float:
     """Operator norm of M - M^H."""
-    a = as_square_array(m)
-    return float(np.linalg.norm(a - a.conj().T, ord=2))
+    return _spectral_norm(_skew(as_square_array(m)))
 
 
 def unitary_from_angles(basis, angles) -> np.ndarray:

@@ -10,14 +10,18 @@ exponential, truncation slack) is measured and checked on each run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
-from .gapped_log import LaurentCoefficients, certified_truncation, gapped_log
+from .gapped_log import LaurentCoefficients, SeriesLog, certified_truncation, gapped_log
 from .jointdiag import JadeOptions, nearest_commuting_pair
 from .linalg import (
     ToleranceConfig,
     UnitaryMatrix,
+    _frobenius,
     as_square_array,
     certified_unitary,
     commutator,
@@ -156,6 +160,43 @@ def log_commutator_bound(
     )
 
 
+def _log_norm_bound(log: SeriesLog, basis: np.ndarray) -> float:
+    """Certified upper bound on |H| for the series log H that gapped_log summed on basis Z.
+
+    gapped_log computes M = fl(fl(Z diag(v)) Z^H), v = log.values, and
+    H = fl((M + M^H)/2). With G = Z^H Z, eta >= |G - I|, m = max |v_j| and
+    u the unit roundoff:
+
+    - exactly, |Z diag(v) Z^H| <= m |Z|^2 = m |G| <= m (1 + eta);
+    - each entry of the product is a complex inner product of length n
+      whose real and imaginary parts are real ones of length 2n, so
+      |M - Z diag(v) Z^H| <= p |Z| |diag(v)| |Z|^H entrywise, with
+      p = (1 + u)(1 + g) - 1, g = sqrt(2) gamma_2n and
+      gamma_k = k u/(1 - k u) (Higham, Accuracy and Stability of
+      Numerical Algorithms, 3.1 and 3.6); the 2-norm of that entrywise
+      bound is at most p m |Z|_F^2 = p m tr(G) <= p n m (1 + eta);
+    - the symmetrization adds at most u to each entry's modulus, so
+      |H| <= (1 + sqrt(n) u) |M|.
+
+    Together |H| <= m (1 + eta)(1 + n p)(1 + sqrt(n) u) <=
+    m (1 + eta)(1 + c n u) with c = 4 (n + 2), which covers
+    n p + sqrt(n) u, their product and the rounding of this bound's own
+    arithmetic. eta is measured on the computed G^:
+    |G - I| <= |G^ - I|_F + |G^ - G|_F, the subtraction of I is exact
+    (Sterbenz: the diagonal of G^ is near 1 for an eigh basis), and
+    |G^ - G|_F <= g n (1 + eta), so eta = (f + n g)/(1 - n g) for f the
+    Frobenius norm of G^ - I raised for its rounding as in gated_norm. The
+    cost is one Z^H Z product and O(n^2) work; no decomposition.
+    """
+    n = basis.shape[0]
+    eps = np.finfo(float).eps
+    u = eps / 2.0
+    g = math.sqrt(2.0) * 2 * n * u / (1.0 - 2 * n * u)
+    f = _frobenius(basis.conj().T @ basis - np.eye(n)) * (1.0 + (n * n + 5) * eps)
+    eta = (f + n * g) / (1.0 - n * g)
+    return float(np.max(np.abs(log.values))) * (1.0 + eta) * (1.0 + 4.0 * (n + 2) * n * u)
+
+
 def near_commuting_unitaries(
     u, v, opts: PipelineOptions = DEFAULT_OPTIONS
 ) -> PipelineResult:
@@ -184,6 +225,10 @@ def near_commuting_unitaries(
       weighted_sum_u*r_u (the tail term is kept as margin). Then
           |[H_u, H_v]| <= |[P_u, P_v]| + |[D_u, H_v]| + |[P_u, D_v]|
                        <= eps*alpha + 2 e_u |H_v| + 2 e_v (|H_u| + e_u).
+      |H_u| and |H_v| enter this slack through _log_norm_bound, an upper
+      bound read off the values g_K(Theta) on the carried basis Z: the
+      largest |g_K(theta_j)| raised by Z's measured departure from
+      orthonormality and by the rounding of the product that formed H_u.
     - Distance, measured against U itself. On the spectrum
       |e^{i g_K(theta)} - e^{i theta}| <= tail_u, so |exp(iH_u) - U~| <=
       tail_u, and a scalar phase changes no norm:
@@ -224,7 +269,9 @@ def near_commuting_unitaries(
     )
     err_u = coeffs_u.tail + coeffs_u.weighted_sum() * es_u.residual
     err_v = coeffs_v.tail + coeffs_v.weighted_sum() * es_v.residual
-    slack = 2.0 * (err_u * operator_norm(log_v) + err_v * (operator_norm(log_u) + err_u))
+    norm_u = _log_norm_bound(log_u, es_u.basis)
+    norm_v = _log_norm_bound(log_v, es_v.basis)
+    slack = 2.0 * (err_u * norm_v + err_v * (norm_u + err_u))
     if measured_log_comm > bound.predicted + slack + 1e-12 * n:
         raise NumericalError(
             f"log commutator {measured_log_comm:.3e} exceeds predicted bound "

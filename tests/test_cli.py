@@ -3,6 +3,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,18 @@ def test_malformed_file_rejected(tmp_path):
     bad = tmp_path / "bad.mtxc"
     bad.write_text("not a matrix\n")
     assert main(["gap", str(bad)]) == EXIT_REJECTED
+
+
+def test_overflowing_input_rejected_without_warnings(tmp_path, capsys):
+    # A^H A overflows, so the unitarity defect reads NaN and fails the check;
+    # numpy must not warn on the way there
+    path = tmp_path / "big.mtxc"
+    mtxc.write(path, np.array([[1e200, 0.0], [0.0, 1.0]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["log", str(path)]) == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rejected: unitarity defect nan")
 
 
 def test_missing_file_rejected(tmp_path):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from nearcomm import (
     BranchPointError,
+    HermitianMatrix,
     InvalidInputError,
     PreconditionError,
     TruncationError,
@@ -216,6 +217,22 @@ class TestGappedLog:
         assert not h.values.flags.writeable
         expected = (es.basis * h.values) @ es.basis.conj().T
         assert np.array_equal(h.mat, (expected + expected.conj().T) / 2.0)
+
+    def test_builds_its_log_once(self, monkeypatch):
+        # one copy, finiteness scan and Frobenius check per log, not a
+        # HermitianMatrix and then a SeriesLog
+        es, _, gap = center_gap(gen_gapped_unitary(12, 0.7, 5))
+        gamma = gap.half_width / 2
+        built = []
+        post_init = HermitianMatrix.__post_init__
+
+        def counting(self):
+            built.append(type(self).__name__)
+            post_init(self)
+
+        monkeypatch.setattr(HermitianMatrix, "__post_init__", counting)
+        gapped_log(es, gamma, choose_truncation(gamma, 1e-6))
+        assert built == ["SeriesLog"]
 
     def test_spectrum_in_branch_window(self):
         es, _, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))

@@ -255,8 +255,60 @@ class TestTypes:
         assert tols.commute(4) == pytest.approx(4e-10)
 
 
+@st.composite
+def norm_test_matrices(draw):
+    """n x n, n in 1..40: non-normal, rank-1, zero, Hermitian, or a difference
+    of two unitaries, scaled by 1e-300, 1 or 1e300."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["gaussian", "triangular", "rank1", "zero", "hermitian",
+                                 "unitary_difference"]))
+    rng = stream_rng(draw(st.integers(0, 2**31)))
+    if kind == "gaussian":
+        m = random_complex(n, rng)
+    elif kind == "triangular":
+        m = np.triu(random_complex(n, rng), 1)
+    elif kind == "rank1":
+        m = np.outer(random_complex(n, rng)[:, 0], random_complex(n, rng)[0])
+    elif kind == "zero":
+        m = np.zeros((n, n), dtype=complex)
+    elif kind == "hermitian":
+        m = random_hermitian(n, rng)
+    else:
+        m = haar_unitary(n, rng) - haar_unitary(n, rng)
+    return m * draw(st.sampled_from([1e-300, 1.0, 1e300]))
+
+
+class TestGramNorm:
+    """operator_norm and the defects take the root of the Gram matrix's top
+    eigenvalue; the SVD norm is the oracle."""
+
+    @PROPERTY
+    @given(norm_test_matrices())
+    def test_agrees_with_the_svd(self, m):
+        svd = float(np.linalg.norm(m, 2))
+        assert abs(operator_norm(m) - svd) <= 1e-13 * svd
+
+    def test_non_finite_ends_as_the_svd_does(self):
+        # reachable only through the gate's fallback: operator_norm rejects
+        # non-finite input, but an overflowing defect product is not input
+        for e in ([[np.nan, 1], [1, np.inf]], [[1, 0], [0, np.nan]], np.full((3, 3), np.nan)):
+            e = np.array(e, dtype=complex)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.norm(e, 2)
+            with pytest.raises(np.linalg.LinAlgError):
+                gated_norm(e, 1.0)
+        for e in ([[np.inf, 0], [0, 1]], [[complex(np.inf, np.nan), 1e200], [1e200, 1]]):
+            e = np.array(e, dtype=complex)
+            assert np.isnan(np.linalg.norm(e, 2))
+            assert np.isnan(gated_norm(e, 1.0))
+
+    def test_exact_on_a_scalar(self):
+        assert unitarity_defect(np.array([[2.0]])) == 3.0
+        assert hermiticity_defect(np.array([[1j]])) == 2.0
+
+
 class TestGatedNorm:
-    """Entry checks decide on |E|_F when it meets the tolerance, else on the SVD norm."""
+    """Entry checks decide on |E|_F when it meets the tolerance, else on the operator norm."""
 
     @PROPERTY
     @given(complex_matrices(), st.floats(-300.0, 300.0), st.floats(1e-6, 1.0), st.booleans())

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior and the commutator bound report."""
 
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nearcomm import (
     NumericalError,
     PipelineOptions,
     center_gap,
+    certified_truncation,
     choose_truncation,
     cli,
     commutator,
@@ -231,6 +233,29 @@ def eigvalsh_calls(monkeypatch):
 
 
 @pytest.fixture
+def norm_kernel_calls(monkeypatch):
+    """linalg._spectral_norm calls, each one eigvalsh of a Gram matrix."""
+    return _counting(monkeypatch, linalg, "_spectral_norm")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """np.linalg.svd calls, also those np.linalg.norm(ord=2) makes inside numpy."""
+    calls = []
+    original = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    for name in ("numpy.linalg", "numpy.linalg._linalg"):
+        module = sys.modules.get(name)
+        if module is not None and getattr(module, "svd", None) is original:
+            monkeypatch.setattr(module, "svd", counting)
+    return calls
+
+
+@pytest.fixture
 def defect_calls(monkeypatch):
     """unitarity_defect calls, under every package name that binds it."""
     calls = []
@@ -259,7 +284,7 @@ class TestDecompositionCounts:
         assert defect_calls == [(8, 8)] * 2
 
     def test_cli_log_measures_no_defect(self, defect_calls, tmp_path, capsys):
-        # the input's entry check passes on its Frobenius bound; no SVD is taken
+        # the input's entry check passes on its Frobenius bound; no operator norm is taken
         u_path = tmp_path / "u.mtxc"
         mtxc.write(u_path, gen_gapped_unitary(8, 1.0, 3).mat)
         defect_calls.clear()
@@ -279,13 +304,28 @@ class TestDecompositionCounts:
         near_commuting_unitaries(u, v)
         assert calls == [(8,)] * 2
 
-    def test_pair_decomposes_each_input_once(self, schur_calls, eigvalsh_calls):
+    def test_pair_decomposes_each_input_once(self, schur_calls, eigvalsh_calls,
+                                             norm_kernel_calls):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
         schur_calls.clear()
         eigvalsh_calls.clear()
+        norm_kernel_calls.clear()
         near_commuting_unitaries(u, v)
         assert schur_calls == []
-        assert eigvalsh_calls == [(8, 8)] * 2
+        # one probe eigvalsh per input; each other eigvalsh is one operator
+        # norm's Gram matrix: eps, the log commutator, dist_a and dist_b,
+        # two exponential distances, dist_u and dist_v, two output defects
+        # and comm_after
+        assert norm_kernel_calls == [(8, 8)] * 11
+        assert eigvalsh_calls == [(8, 8)] * (2 + 11)
+
+    def test_pair_takes_no_svd(self, svd_calls):
+        np.linalg.norm(np.eye(2), 2)
+        assert svd_calls == [(2, 2)]  # the counter sees the SVD inside np.linalg.norm
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+        svd_calls.clear()
+        near_commuting_unitaries(u, v)
+        assert svd_calls == []
 
     def test_pair_makes_three_eigh_and_no_herm_exp(self, eigh_calls, monkeypatch):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
@@ -320,6 +360,30 @@ class TestDecompositionCounts:
         gamma = gap.half_width / 2
         gapped_log(es, gamma, choose_truncation(gamma, 1e-6))
         assert schur_calls == eigvalsh_calls == eigh_calls == []
+
+
+class TestLogNormBound:
+    """The slack's |H| is a certified bound read off the log's values, not a norm."""
+
+    @staticmethod
+    def check(u):
+        es, _, gap = center_gap(u)
+        gamma = gap.half_width / 2
+        log, _ = gapped_log(es, gamma, certified_truncation(gamma, 1e-6))
+        exact = max(operator_norm(log), float(np.linalg.norm(log.mat, 2)))
+        bound = pipeline._log_norm_bound(log, es.basis)
+        assert exact <= bound <= exact * (1 + 1e-10)
+
+    def test_pair_pool_logs(self):
+        for i in range(32):
+            u, v, _ = gen_almost_commuting_pair(32, 1.0, (1e-1, 1e-2, 1e-3, 1e-4)[i % 4], 11, i)
+            self.check(u)
+            self.check(v)
+
+    @pytest.mark.parametrize("n", [1, 5, 32, 128])
+    def test_gapped_unitaries(self, n):
+        for i in range(3):
+            self.check(gen_gapped_unitary(n, 0.6, 29, i))
 
 
 def tridiagonal_family(n):
