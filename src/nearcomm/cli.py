@@ -37,7 +37,7 @@ def _load_unitary(path: str) -> UnitaryMatrix:
 
 def _cmd_gap(args) -> int:
     u = _load_unitary(args.matrix)
-    gap = largest_gap(unitary_eigensystem(u))
+    gap = largest_gap(unitary_eigensystem(u).angles)
     _print_kv(
         {
             "n": u.n,

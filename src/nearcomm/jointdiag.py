@@ -12,7 +12,8 @@ so that off never rises (Absil, Mahony & Sepulchre, Optimization
 Algorithms on Matrix Manifolds, 2008, ch. 4). A sweep costs one linear
 solve and a few n x n products, whatever n is. The diagonal parts in the
 final basis commute exactly, whatever the convergence status, so the
-output pair always satisfies the commuting contract.
+output pair always satisfies the commuting contract; it is handed on as
+that basis and the two real diagonals, never as dense matrices.
 """
 
 from __future__ import annotations
@@ -29,32 +30,8 @@ from .linalg import (
     ToleranceConfig,
     _frozen,
     as_square_array,
-    hermitian_part,
     operator_norm,
 )
-
-
-@dataclass(frozen=True)
-class JadeOptions:
-    """Sweep control: the sweep limit and the relative-improvement stop.
-
-    A sweep is one all-pairs step, which updates every (p, q) plane at
-    once. The iteration stops as converged when a sweep lowers off by at
-    most rel_improvement_tol times its value, or when the step's predicted
-    decrease is that small before it is taken.
-    """
-
-    max_sweeps: int = 100
-    rel_improvement_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not isinstance(self.max_sweeps, numbers.Integral) or self.max_sweeps < 1:
-            raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps}")
-        if not self.rel_improvement_tol >= 0:
-            raise InvalidInputError("rel_improvement_tol must be nonnegative")
-
-
-DEFAULT_JADE = JadeOptions()
 
 # weight phi of B in the warm-start matrix A + phi*B: fixed, so runs are
 # deterministic; irrational, so for rational spectra a + phi*b = a' + phi*b'
@@ -65,22 +42,25 @@ _WARM_START_WEIGHT = 2.0**0.5 - 1.0
 # below rounding, so the iteration stops there instead of halving on
 _MAX_HALVINGS = 8
 
+# relative-improvement stop: the iteration is converged when a sweep lowers
+# off by at most this fraction of its value, or when the step's predicted
+# decrease is that small before it is taken
+_REL_IMPROVEMENT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CommutingHermitianPair:
-    """Exactly commuting pair with its common eigenbasis and distances.
+    """Exactly commuting pair, in factored form, with its distances.
 
     basis is the common eigenbasis Q and diag_a, diag_b the real diagonals
-    of Q^H A Q and Q^H B Q, so a_prime = Q diag(diag_a) Q^H and
-    b_prime = Q diag(diag_b) Q^H (made exactly Hermitian), and the
-    commutator of the outputs vanishes to rounding. A function of either
-    output is that function on its diagonal, in the basis Q.
+    of Q^H A Q and Q^H B Q; the pair is A' = Q diag(diag_a) Q^H and
+    B' = Q diag(diag_b) Q^H, whose commutator vanishes to rounding, and
+    dist_a = |A' - A|, dist_b = |B' - B|. A function of either output is
+    that function on its diagonal, in the basis Q.
     off_history records the off-diagonal mass in the warm-start basis,
     then after each sweep; sweeps counts the sweeps taken.
     """
 
-    a_prime: HermitianMatrix
-    b_prime: HermitianMatrix
     basis: np.ndarray
     diag_a: np.ndarray
     diag_b: np.ndarray
@@ -134,24 +114,27 @@ def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.nd
 def nearest_commuting_pair(
     a,
     b,
-    opts: JadeOptions = DEFAULT_JADE,
+    max_sweeps: int = 100,
     tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> CommutingHermitianPair:
     """Exactly commuting Hermitian pair (A', B') near Hermitian (A, B).
 
     A HermitianMatrix argument is trusted; a plain array is checked by
-    HermitianMatrix.from_array. Sweeps, started from the eigenbasis of
-    A + phi*B, rotate toward a joint near-diagonalizer Q. A sweep takes
-    the generator X of _newton_generator and the Cayley factor
-    G = (I - X/2)^{-1}(I + X/2), which is unitary with rotation angles
-    below pi, and maps the basis Q to QG; X is halved until off does not
-    rise, at most _MAX_HALVINGS times. A' and B' are the diagonal parts in
-    the final basis conjugated back, made exactly Hermitian by
-    hermitian_part. For commuting inputs with simple spectrum this
-    reproduces the pair to rounding. If max_sweeps is exhausted while the
-    objective still improves, the result is flagged unconverged but still
-    commutes exactly.
+    HermitianMatrix.from_array; max_sweeps must be an integer >= 1.
+    Sweeps, started from the eigenbasis of A + phi*B, rotate toward a
+    joint near-diagonalizer Q. A sweep takes the generator X of
+    _newton_generator and the Cayley factor G = (I - X/2)^{-1}(I + X/2),
+    which is unitary with rotation angles below pi, and maps the basis Q
+    to QG; X is halved until off does not rise, at most _MAX_HALVINGS
+    times. A' and B' are the diagonal parts in the final basis, returned
+    in factored form as Q and the two real diagonals; each distance is
+    measured on Q diag(d) Q^H. For commuting inputs with simple spectrum
+    this reproduces the pair to rounding. If max_sweeps is exhausted while
+    the objective still improves, the result is flagged unconverged but
+    still commutes exactly.
     """
+    if not isinstance(max_sweeps, numbers.Integral) or max_sweeps < 1:
+        raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {max_sweeps}")
     ma, mb = (
         m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix.from_array(m, tolerances).mat
         for m in (a, b)
@@ -169,10 +152,10 @@ def nearest_commuting_pair(
 
     history = [_off(w, mask)]
     converged = history[0] <= floor
-    while not converged and len(history) <= opts.max_sweeps:
+    while not converged and len(history) <= max_sweeps:
         prev = history[-1]
         x, d = _newton_generator(*w)
-        if float(np.sum(d * np.abs(x) ** 2)) <= opts.rel_improvement_tol * prev:
+        if float(np.sum(d * np.abs(x) ** 2)) <= _REL_IMPROVEMENT_TOL * prev:
             converged = True
             break
         for _ in range(_MAX_HALVINGS):
@@ -189,22 +172,18 @@ def nearest_commuting_pair(
         w = trial
         basis = basis @ g
         history.append(cur)
-        if cur <= floor or (prev - cur) <= opts.rel_improvement_tol * max(prev, floor):
+        if cur <= floor or (prev - cur) <= _REL_IMPROVEMENT_TOL * max(prev, floor):
             converged = True
 
     wa, wb = w
     diag_a = np.diag(wa).real
     diag_b = np.diag(wb).real
-    a_prime = hermitian_part((basis * diag_a) @ basis.conj().T)
-    b_prime = hermitian_part((basis * diag_b) @ basis.conj().T)
     return CommutingHermitianPair(
-        a_prime=a_prime,
-        b_prime=b_prime,
         basis=basis,
         diag_a=diag_a,
         diag_b=diag_b,
-        dist_a=operator_norm(a_prime.mat - ma),
-        dist_b=operator_norm(b_prime.mat - mb),
+        dist_a=operator_norm((basis * diag_a) @ basis.conj().T - ma),
+        dist_b=operator_norm((basis * diag_b) @ basis.conj().T - mb),
         converged=converged,
         sweeps=len(history) - 1,
         off_history=tuple(history),

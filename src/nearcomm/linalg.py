@@ -64,7 +64,7 @@ def as_square_array(m, name: str = "matrix") -> np.ndarray:
         raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise InvalidInputError(f"{name} must have positive dimension")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # complex: both parts finite
         raise InvalidInputError(f"{name} has non-finite entries")
     return a
 
@@ -182,10 +182,13 @@ def gated_norm(e: np.ndarray, tol: float) -> float:
     returned; only when it exceeds tol is the operator norm computed
     (_spectral_norm) and returned. The Frobenius norm is raised by a bound
     on its rounding error (the moduli, the scaling, the sum of n^2 squares
-    and the root), so it stays above the exact |E|_F.
+    and the root), so it stays above the exact |E|_F. A NaN Frobenius norm,
+    from a defect product that overflowed, is returned as it is: it fails
+    every `not d <= tol` check, as the operator norm, which is NaN or
+    undefined there, would.
     """
     f = _frobenius(e) * (1.0 + (e.size + 5) * np.finfo(float).eps)
-    return f if f <= tol else _spectral_norm(e)
+    return _spectral_norm(e) if f > tol else f
 
 
 def _frobenius(e: np.ndarray) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
 from .gapped_log import LaurentCoefficients, SeriesLog, certified_truncation, gapped_log
-from .jointdiag import JadeOptions, nearest_commuting_pair
+from .jointdiag import nearest_commuting_pair
 from .linalg import (
     ToleranceConfig,
     UnitaryMatrix,
@@ -37,7 +37,7 @@ from .spectral import GapInfo, center_gap
 class PipelineOptions:
     min_gap: float = 0.1
     series_target: float = 1e-6
-    jade: JadeOptions = field(default_factory=JadeOptions)
+    max_sweeps: int = 100
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def __post_init__(self):
@@ -278,7 +278,7 @@ def near_commuting_unitaries(
             f"{bound.predicted:.3e} plus slack {slack:.3e}"
         )
 
-    pair = nearest_commuting_pair(log_u, log_v, opts.jade, tol)
+    pair = nearest_commuting_pair(log_u, log_v, opts.max_sweeps, tol)
     herm_dist_a = pair.dist_a
     herm_dist_b = pair.dist_b
 

@@ -32,7 +32,6 @@ from .linalg import (
     UnitaryMatrix,
     _frozen,
     gated_norm,
-    unitarity_defect,
     unitary_from_angles,
 )
 
@@ -75,9 +74,6 @@ class Eigensystem:
         object.__setattr__(self, "angles", _frozen(self.angles, np.float64))
         object.__setattr__(self, "basis", _frozen(self.basis))
 
-    def reconstruct(self) -> np.ndarray:
-        return unitary_from_angles(self.basis, self.angles)
-
 
 @dataclass(frozen=True)
 class GapInfo:
@@ -112,17 +108,6 @@ def _cayley(a: np.ndarray, psi: float) -> np.ndarray | None:
     return (h + h.conj().T) / 2.0
 
 
-def _check_unitary(a: np.ndarray, tol: float) -> None:
-    """Raise InvalidInputError when the measured unitarity defect exceeds tol.
-
-    Called once a check has failed, since a trusted UnitaryMatrix may carry
-    a defect it does not have.
-    """
-    defect = unitarity_defect(a)
-    if not defect <= tol:
-        raise InvalidInputError(f"unitarity defect {defect:.3e} exceeds tolerance {tol:.3e}")
-
-
 def unitary_eigensystem(
     u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> Eigensystem:
@@ -143,9 +128,10 @@ def unitary_eigensystem(
     |Z diag(e^{i*angles}) Z^H - U| must stay within
     tolerances.unitarity(n); the eigensystem carries gated_norm of that
     difference, the certified bound the gate reads, as its residual.
-    When either check fails, the input's unitarity defect is measured
-    first, so a non-unitary input is rejected as invalid rather than
-    reported as a numerical failure.
+    When either check fails, UnitaryMatrix.from_array checks the input
+    before the failure is raised, since a trusted UnitaryMatrix may carry
+    a defect it does not have: a non-unitary input is rejected as invalid
+    rather than reported as a numerical failure.
     """
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix.from_array(u, tolerances)
@@ -162,18 +148,18 @@ def unitary_eigensystem(
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed for {n}x{n} input: {exc}") from exc
         if rough:
-            psi = _gap_of(np.mod(psi + 2.0 * np.arctan2(1.0, -lam), TWO_PI)).center
+            psi = largest_gap(np.mod(psi + 2.0 * np.arctan2(1.0, -lam), TWO_PI)).center
             rough = False
             continue
         rq = np.einsum("ij,ij->j", z.conj(), a @ z)
         worst = float(np.max(np.abs(np.abs(rq) - 1.0)))
         if worst > MODULUS_TOL:
-            _check_unitary(a, tol)
+            UnitaryMatrix.from_array(a, tolerances)
             raise InvalidInputError(
                 f"eigenvalue modulus deviates from 1 by {worst:.3e}; input is not numerically unitary"
             )
         angles = np.mod(np.angle(rq), TWO_PI)
-        gap = _gap_of(angles)
+        gap = largest_gap(angles)
         if np.min(np.abs(wrap_to_pi(angles - psi))) < gap.half_width / 2.0:
             psi = gap.center
             continue
@@ -181,26 +167,22 @@ def unitary_eigensystem(
         angles, z = angles[order], z[:, order]
         resid = gated_norm(unitary_from_angles(z, angles) - a, tol)
         if not resid <= tol:
-            _check_unitary(a, tol)
+            UnitaryMatrix.from_array(a, tolerances)
             raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
         return Eigensystem(angles, z, resid)
     raise NumericalError(f"no well-conditioned Cayley probe after {_MAX_PROBES} tries")
 
 
-def largest_gap(es: Eigensystem) -> GapInfo:
-    """Widest empty open arc between consecutive eigenangles.
+def largest_gap(angles) -> GapInfo:
+    """Widest empty open arc between consecutive eigenangles in [0, 2pi).
 
-    Arc j runs from angles[j] to the next angle, the last one wrapping
+    The angles may come in any order; they are sorted first. Arc j runs
+    from the j-th sorted angle to the next, the last one wrapping
     through 2pi. Ties between equally long arcs are broken by the smallest
     center in [0, 2pi), then by the first arc, so the result is
     deterministic. A single eigenvalue leaves one arc of length exactly
     2pi; the half-width is capped at pi.
     """
-    return _gap_of(es.angles)
-
-
-def _gap_of(angles) -> GapInfo:
-    """largest_gap of angles in [0, 2pi), in any order."""
     angles = np.sort(np.asarray(angles, dtype=float))
     n = len(angles)
     if n < 1:
@@ -229,7 +211,7 @@ def center_gap(
     center 0, the same half-width, and lo/hi shifted mod 2pi.
     """
     es = unitary_eigensystem(u, tolerances)
-    gap = largest_gap(es)
+    gap = largest_gap(es.angles)
     zeta = gap.center
     centered = GapInfo(
         center=0.0,

@@ -8,8 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from nearcomm import JadeOptions, cli, commutator, herm_exp, operator_norm
+from nearcomm import cli, commutator, operator_norm
 from nearcomm import mtxc
+from nearcomm.linalg import herm_exp
 from nearcomm.cli import EXIT_OK, EXIT_REJECTED, main
 
 
@@ -96,7 +97,7 @@ def test_pair_warns_when_joint_diagonalization_unconverged(tmp_path, capsys, mon
     monkeypatch.setattr(
         cli,
         "near_commuting_unitaries",
-        lambda u, v, opts: real(u, v, dataclasses.replace(opts, jade=JadeOptions(max_sweeps=1))),
+        lambda u, v, opts: real(u, v, dataclasses.replace(opts, max_sweeps=1)),
     )
     code = main(["pair", str(u_path), str(v_path), "--out-x", str(tmp_path / "x.mtxc"),
                  "--out-y", str(tmp_path / "y.mtxc")])
@@ -132,6 +133,17 @@ def test_overflowing_input_rejected_without_warnings(tmp_path, capsys):
         assert main(["log", str(path)]) == EXIT_REJECTED
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("rejected: unitarity defect nan")
+
+
+def test_nan_defect_rejected_not_a_numerical_failure(tmp_path, capsys):
+    # A^H A has an entry inf - inf = NaN; the Frobenius bound reads NaN and
+    # must fail the gate as a rejection, not reach the norm kernel's LinAlgError
+    path = tmp_path / "nan.mtxc"
+    mtxc.write(path, np.array([[1e200, 1e200], [1e200, 1e200j]]))
+    assert main(["log", str(path)]) == EXIT_REJECTED
+    assert capsys.readouterr().err.splitlines() == [
+        "rejected: unitarity defect nan exceeds tolerance 2.000e-08"
+    ]
 
 
 def test_missing_file_rejected(tmp_path):

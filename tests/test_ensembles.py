@@ -12,9 +12,8 @@ from nearcomm import (
     haar_unitary,
     operator_norm,
     stream_rng,
-    unitary_eigensystem,
-    wrap_to_pi,
 )
+from nearcomm.spectral import unitary_eigensystem, wrap_to_pi
 
 
 class TestGappedUnitary:

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from nearcomm import (
-    HermitianMatrix,
     InvalidInputError,
-    JadeOptions,
-    certified_truncation,
-    center_gap,
     commutator,
     gapped_log,
     gen_almost_commuting_pair,
     nearest_commuting_pair,
-    off_measure,
     operator_norm,
     haar_unitary,
     stream_rng,
 )
+from nearcomm.gapped_log import certified_truncation
+from nearcomm.jointdiag import off_measure
+from nearcomm.linalg import HermitianMatrix
+from nearcomm.spectral import center_gap
 from nearcomm.jointdiag import _newton_generator
 
 
@@ -35,6 +34,12 @@ def commuting_pair(n, seed, spread=2.0):
     a = (q * da) @ q.conj().T
     b = (q * db) @ q.conj().T
     return (a + a.conj().T) / 2, (b + b.conj().T) / 2
+
+
+def dense_pair(pair):
+    """(A', B') = (Q diag(a) Q^H, Q diag(b) Q^H) from the factored result."""
+    q = pair.basis
+    return (q * pair.diag_a) @ q.conj().T, (q * pair.diag_b) @ q.conj().T
 
 
 def plane_rotation(a, b, p, q):
@@ -98,10 +103,10 @@ class TestNewtonGenerator:
             x, _ = _newton_generator(a, b)
             pair = nearest_commuting_pair(a, b)
         assert np.all(x[:2, :2] == 0)
-        for m in (pair.a_prime.mat, pair.b_prime.mat, pair.basis):
+        for m in (*dense_pair(pair), pair.basis):
             assert np.all(np.isfinite(m))
         assert np.all(np.diff(pair.off_history) <= 0)
-        assert operator_norm(commutator(pair.a_prime.mat, pair.b_prime.mat)) <= 1e-12 * 3
+        assert operator_norm(commutator(*dense_pair(pair))) <= 1e-12 * 3
 
 
 class TestOffMeasure:
@@ -141,7 +146,7 @@ class TestNearestCommutingPair:
         b = eps * np.array([[0.0, 1.0], [1.0, 0.0]])
         pair = nearest_commuting_pair(a, b)
         assert pair.dist_a + pair.dist_b <= 2 * eps + 1e-12
-        assert operator_norm(commutator(pair.a_prime.mat, pair.b_prime.mat)) <= 1e-12 * 2
+        assert operator_norm(commutator(*dense_pair(pair))) <= 1e-12 * 2
 
     def test_2x2_against_brute_force(self):
         # oracle: scan all 2x2 rotations for the lowest commuting-pair cost
@@ -180,9 +185,9 @@ class TestNearestCommutingPair:
     def test_output_commutes_even_unconverged(self):
         rng = np.random.default_rng(5)
         a, b = random_hermitian(8, rng), random_hermitian(8, rng)
-        pair = nearest_commuting_pair(a, b, JadeOptions(max_sweeps=1))
+        pair = nearest_commuting_pair(a, b, max_sweeps=1)
         assert not pair.converged
-        assert operator_norm(commutator(pair.a_prime.mat, pair.b_prime.mat)) <= 1e-12 * 8
+        assert operator_norm(commutator(*dense_pair(pair))) <= 1e-12 * 8
 
     def test_off_monotone_per_sweep(self):
         rng = np.random.default_rng(6)
@@ -233,16 +238,17 @@ class TestNearestCommutingPair:
         q = pair.basis
         assert operator_norm(q.conj().T @ q - np.eye(7)) <= 1e-12 * 7
         da = np.diag(np.diag(q.conj().T @ a @ q).real)
-        assert operator_norm(pair.a_prime.mat - q @ da @ q.conj().T) <= 1e-12 * 7
+        assert operator_norm(dense_pair(pair)[0] - q @ da @ q.conj().T) <= 1e-12 * 7
 
     def test_diagonals_rebuild_the_outputs(self):
+        # the distances are measured on the pair the basis and diagonals rebuild
         rng = np.random.default_rng(9)
         a, b = random_hermitian(7, rng), random_hermitian(7, rng)
         pair = nearest_commuting_pair(a, b)
-        q = pair.basis
-        for d, out in ((pair.diag_a, pair.a_prime), (pair.diag_b, pair.b_prime)):
+        for d, out, m, dist in zip((pair.diag_a, pair.diag_b), dense_pair(pair), (a, b),
+                                   (pair.dist_a, pair.dist_b)):
             assert d.dtype == np.float64 and d.shape == (7,) and not d.flags.writeable
-            assert operator_norm(out.mat - (q * d) @ q.conj().T) <= 1e-12 * 7
+            assert dist == pytest.approx(operator_norm(out - m), rel=1e-12)
 
     def test_continuity_toward_commuting(self):
         # shrinking the perturbation shrinks the median distance
@@ -267,8 +273,8 @@ class TestNearestCommutingPair:
         rng = np.random.default_rng(8)
         a, b = (HermitianMatrix.from_array(random_hermitian(6, rng)) for _ in range(2))
         typed, plain = nearest_commuting_pair(a, b), nearest_commuting_pair(a.mat, b.mat)
-        for t, p in ((typed.a_prime.mat, plain.a_prime.mat),
-                     (typed.b_prime.mat, plain.b_prime.mat),
+        for t, p in ((typed.diag_a, plain.diag_a),
+                     (typed.diag_b, plain.diag_b),
                      (typed.basis, plain.basis)):
             assert np.array_equal(t.view(np.uint64), p.view(np.uint64))
         assert (typed.dist_a, typed.dist_b, typed.sweeps, typed.off_history) == (
@@ -281,13 +287,16 @@ class TestNearestCommutingPair:
 
     def test_options_validate(self):
         with pytest.raises(InvalidInputError):
-            JadeOptions(max_sweeps=0)
+            nearest_commuting_pair(np.eye(2), np.eye(2), max_sweeps=0)
 
     @pytest.mark.parametrize("bad", [float("nan"), 2.5, 3.0, "3"])
     def test_max_sweeps_must_be_an_integer(self, bad):
         # NaN would pass a bare < 1 check and run no sweep at all
         with pytest.raises(InvalidInputError, match="max_sweeps"):
-            JadeOptions(max_sweeps=bad)
+            nearest_commuting_pair(np.eye(2), np.eye(2), max_sweeps=bad)
 
     def test_max_sweeps_accepts_numpy_integers(self):
-        assert JadeOptions(max_sweeps=np.int64(3)).max_sweeps == 3
+        rng = np.random.default_rng(5)
+        a, b = random_hermitian(8, rng), random_hermitian(8, rng)
+        pair = nearest_commuting_pair(a, b, max_sweeps=np.int64(3))
+        assert pair.sweeps == 3 and not pair.converged

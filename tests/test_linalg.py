@@ -1,26 +1,27 @@
 """Matrix substrate: operator norm, commutators, Hermitian exponential, defects."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nearcomm import (
+from nearcomm import InvalidInputError, commutator, haar_unitary, operator_norm, stream_rng
+from nearcomm.linalg import (
     HermitianMatrix,
-    InvalidInputError,
     ToleranceConfig,
     UnitaryMatrix,
-    commutator,
-    haar_unitary,
+    _spectral_norm,
+    as_square_array,
+    gated_norm,
     herm_exp,
+    hermitian_part,
     hermiticity_defect,
-    operator_norm,
-    stream_rng,
     unitarity_defect,
-    unitary_eigensystem,
 )
-from nearcomm.linalg import gated_norm, hermitian_part
+from nearcomm.spectral import unitary_eigensystem
 
 RNG = np.random.default_rng(20240811)
 
@@ -73,6 +74,14 @@ class TestOperatorNorm:
         m[0, 1] = np.nan
         with pytest.raises(InvalidInputError):
             operator_norm(m)
+
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_in_either_part(self, part, value):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = complex(value, 0.5) if part == "real" else complex(0.5, value)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            as_square_array(m)
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidInputError):
@@ -296,7 +305,9 @@ class TestGramNorm:
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.norm(e, 2)
             with pytest.raises(np.linalg.LinAlgError):
-                gated_norm(e, 1.0)
+                _spectral_norm(e)
+            # the gate returns its NaN Frobenius bound, which fails every check
+            assert np.isnan(gated_norm(e, 1.0))
         for e in ([[np.inf, 0], [0, 1]], [[complex(np.inf, np.nan), 1e200], [1e200, 1]]):
             e = np.array(e, dtype=complex)
             assert np.isnan(np.linalg.norm(e, 2))
@@ -335,6 +346,19 @@ class TestGatedNorm:
         # A^H A overflows, so the defect reads NaN; a NaN must not pass the check
         with np.errstate(all="ignore"), pytest.raises(InvalidInputError, match="unitarity"):
             UnitaryMatrix.from_array(np.array([[1e200, 1e200], [1e200, -1e200]]))
+
+    def test_no_overflowing_entry_reaches_the_norm_kernel(self):
+        # entries near 1e200 overflow A^H A to inf and NaN; every such input
+        # is rejected as invalid, never a LinAlgError from the kernel
+        values = [1e200, -1e200, 1e200j, -1e200j, 1.0, 0.0]
+        accepted = 0
+        for entries in itertools.product(values, repeat=4):
+            try:
+                UnitaryMatrix.from_array(np.array(entries).reshape(2, 2))
+                accepted += 1
+            except InvalidInputError:
+                pass
+        assert accepted == 2  # the identity and the swap
 
     def test_constructor_sees_a_tiny_skew(self):
         # an unscaled |M - M^H|_F underflows to 0 here and let the false defect 0 through

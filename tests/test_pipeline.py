@@ -10,11 +10,8 @@ import scipy.linalg
 from nearcomm import (
     GapTooSmallError,
     InvalidInputError,
-    LaurentCoefficients,
     NumericalError,
     PipelineOptions,
-    center_gap,
-    certified_truncation,
     choose_truncation,
     cli,
     commutator,
@@ -25,7 +22,6 @@ from nearcomm import (
     jointdiag,
     laurent_coefficients,
     linalg,
-    log_commutator_bound,
     mtxc,
     near_commuting_unitaries,
     nearest_commuting_pair,
@@ -33,6 +29,9 @@ from nearcomm import (
     pipeline,
     spectral,
 )
+from nearcomm.gapped_log import LaurentCoefficients, certified_truncation
+from nearcomm.pipeline import log_commutator_bound
+from nearcomm.spectral import center_gap
 
 # the package re-exports the function gapped_log under its module's name
 gapped_log_module = importlib.import_module("nearcomm.gapped_log")
@@ -91,6 +90,11 @@ class TestPipelineOptions:
 
     def test_zero_min_gap_allowed(self):
         assert PipelineOptions(min_gap=0.0).min_gap == 0.0
+
+    def test_max_sweeps_checked_by_the_joint_diagonalization(self):
+        u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
+        with pytest.raises(InvalidInputError, match="max_sweeps"):
+            near_commuting_unitaries(u, v, PipelineOptions(max_sweeps=0))
 
 
 class TestNearCommutingUnitaries:
@@ -156,7 +160,7 @@ class TestNearCommutingUnitaries:
 
     def test_unconverged_is_flagged_but_commuting(self):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 5e-2, 13)
-        opts = PipelineOptions(jade=__import__("nearcomm").JadeOptions(max_sweeps=1))
+        opts = PipelineOptions(max_sweeps=1)
         res = near_commuting_unitaries(u, v, opts)
         assert not res.converged
         assert res.comm_after <= 1e-10 * 8
@@ -404,8 +408,8 @@ class TestHardFamily:
         opts = PipelineOptions()
         res = near_commuting_unitaries(u, v, opts)
         assert res.comm_after <= opts.tolerances.commute(n)
-        assert res.sweeps <= opts.jade.max_sweeps
-        assert res.converged or res.sweeps == opts.jade.max_sweeps
+        assert res.sweeps <= opts.max_sweeps
+        assert res.converged or res.sweeps == opts.max_sweeps
 
 
 class TestTracedSurface:
