@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
+    DEFAULT_TOLERANCES,
     UnitaryMatrix,
     commutator,
     herm_exp,
@@ -78,20 +79,65 @@ def _gap_at_zero(u) -> float:
     return float(np.min(np.abs(wrap_to_pi(es.angles))))
 
 
+def _gap_settled(n: int, delta: float, eps_target: float) -> bool:
+    """Whether the bound in gen_almost_commuting_pair proves both measured gaps >= delta/2."""
+    rho = 24.0 * (n + 1) ** 2 * (np.finfo(float).eps / 2.0)
+    slack = (np.pi / 2.0) * (DEFAULT_TOLERANCES.unitarity(n) + 3.0 * rho) * (1.0 + 2.0 * rho)
+    return eps_target * (1.0 + rho) + slack + rho <= delta / 2.0
+
+
 def gen_almost_commuting_pair(
     n: int, delta: float, eps_target: float, seed: int, *stream: int
 ) -> tuple[UnitaryMatrix, UnitaryMatrix, float]:
     """Commuting gapped pair with one side perturbed by exp(i*eps*G).
 
-    The perturbation is a unitary factor within eps_target of the identity,
-    so the measured commutator norm is at most 2*eps_target. If it pushes
-    the spectrum of U closer than delta/2 to angle 0, the draw is retried
-    with a fresh sub-stream; a bounded number of retries guards against
-    pathological parameters.
+    U0 = Q diag(e^{i*alpha}) Q^H and V = V0 = Q diag(e^{i*beta}) Q^H share
+    a Haar basis Q, with every alpha_j, beta_j in [delta, 2pi - delta];
+    U = W U0 for W = exp(i*eps*G), |G| = 1. W is within eps_target of the
+    identity, so the measured commutator norm is at most 2*eps_target.
+    A pair is returned only if both gaps at angle 0 are at least delta/2;
+    otherwise the draw is retried with a fresh sub-stream, and after
+    MAX_REGEN_RETRIES draws NumericalError is raised.
+
+    The gaps are settled by a bound when it can, and measured otherwise.
+    Exactly: U0 is normal and U = U0 + (W - I) U0, so by Bauer-Fike (Numer.
+    Math. 2:137, 1960) every eigenvalue of U lies within
+    |W - I| = 2 sin(eps |G|/2) of some e^{i*alpha_j}; both lie on the unit
+    circle, so that chord subtends an arc of at most eps |G|, and
+    gap(U) >= delta - eps |G|. V is not perturbed: gap(V) >= delta. The
+    measured check reads the angles of the computed unitary_eigensystem of
+    the rounded matrices, so the margin covers, with u the unit roundoff
+    and rho = 24 (n + 1)^2 u:
+    - the rounding of the built U0 and of W = herm_exp(eps G): four n x n
+      products (U0, V0, W and W U0), each erring by at most
+      sqrt(2) gamma_2n n <= 3 n^2 u in norm for factors of unit norm
+      (Higham, Accuracy and Stability of Numerical Algorithms, 3.5), and
+      two factorizations, QR for Q and eigh in herm_exp, taken as
+      backward stable to within n u; so the computed U and V are within
+      rho, at least twice the sum of these terms, of the exactly unitary
+      W* U0* and V0* built from the same angles and the same eps G;
+    - |G| = 1 only to rounding: G is divided by its Gram-eigvalsh norm,
+      which errs by at most 4 n (n + 2) u relative, and eps*G rounds once
+      more, so |eps G| <= eps (1 + rho);
+    - the slack of the measured check: its eigensystem Z, angles theta
+      passes |Z diag(e^{i*theta}) Z^H - U| <= tau = DEFAULT_TOLERANCES.
+      unitarity(n), with Z orthonormal to within rho, so each e^{i*theta_j}
+      has residual at most (tau + 3 rho)(1 + 2 rho) against the exactly
+      unitary matrix, and by Bauer-Fike lies within that chord of its
+      spectrum; a chord c subtends an arc of at most (pi/2) c. The
+      rounding of the angles themselves adds at most rho.
+    Hence every measured angle of U or V is at least
+    delta - eps (1 + rho) - (pi/2)(tau + 3 rho)(1 + 2 rho) - rho from 0,
+    and when that is >= delta/2 (_gap_settled) both checks would pass, so
+    they are skipped and the first draw is returned, bit for bit what the
+    measured checks return. Otherwise, as for eps near or above delta/2,
+    both gaps are measured on every draw. tau dominates the margin: at
+    n = 32 the margin is 5.0e-7, and the rho terms are below 1e-4 of it.
     """
     check_ensemble_params(n, delta)
     if not 0 <= eps_target < np.inf:
         raise InvalidInputError(f"eps_target must be finite and nonnegative, got {eps_target}")
+    settled = _gap_settled(n, delta, eps_target)
     for attempt in range(MAX_REGEN_RETRIES):
         rng = stream_rng(seed, *stream, attempt)
         angles_u = rng.uniform(delta, TWO_PI - delta, size=n)
@@ -103,7 +149,7 @@ def gen_almost_commuting_pair(
         u_mat = herm_exp(eps_target * g).mat @ u0
         u = UnitaryMatrix(u_mat, unitarity_defect(u_mat))
         v = UnitaryMatrix(v0, unitarity_defect(v0))
-        if _gap_at_zero(u) >= delta / 2.0 and _gap_at_zero(v) >= delta / 2.0:
+        if settled or (_gap_at_zero(u) >= delta / 2.0 and _gap_at_zero(v) >= delta / 2.0):
             eps_actual = operator_norm(commutator(u_mat, v0))
             return u, v, eps_actual
     raise NumericalError(

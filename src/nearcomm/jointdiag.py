@@ -111,6 +111,12 @@ def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.nd
     return x - x.conj().T, d
 
 
+def check_max_sweeps(max_sweeps) -> None:
+    """Reject a sweep budget that is not an integer >= 1."""
+    if not isinstance(max_sweeps, numbers.Integral) or max_sweeps < 1:
+        raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {max_sweeps}")
+
+
 def nearest_commuting_pair(
     a,
     b,
@@ -133,8 +139,7 @@ def nearest_commuting_pair(
     the objective still improves, the result is flagged unconverged but
     still commutes exactly.
     """
-    if not isinstance(max_sweeps, numbers.Integral) or max_sweeps < 1:
-        raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {max_sweeps}")
+    check_max_sweeps(max_sweeps)
     ma, mb = (
         m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix.from_array(m, tolerances).mat
         for m in (a, b)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
 from .gapped_log import LaurentCoefficients, SeriesLog, certified_truncation, gapped_log
-from .jointdiag import nearest_commuting_pair
+from .jointdiag import check_max_sweeps, nearest_commuting_pair
 from .linalg import (
     ToleranceConfig,
     UnitaryMatrix,
@@ -46,6 +46,7 @@ class PipelineOptions:
             raise InvalidInputError(f"min_gap must be nonnegative, got {self.min_gap}")
         if not self.series_target > 0:
             raise InvalidInputError(f"series_target must be positive, got {self.series_target}")
+        check_max_sweeps(self.max_sweeps)
 
 
 DEFAULT_OPTIONS = PipelineOptions()

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearcomm import (
     InvalidInputError,
+    NumericalError,
     commutator,
     gen_almost_commuting_pair,
     gen_gapped_unitary,
@@ -13,7 +16,11 @@ from nearcomm import (
     operator_norm,
     stream_rng,
 )
+from nearcomm import ensembles
+from nearcomm.ensembles import MAX_REGEN_RETRIES
 from nearcomm.spectral import unitary_eigensystem, wrap_to_pi
+
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 class TestGappedUnitary:
@@ -102,6 +109,70 @@ class TestAlmostCommutingPair:
     def test_rejects_empty_dimension(self):
         with pytest.raises(InvalidInputError):
             gen_almost_commuting_pair(0, 1.0, 1e-3, 1)
+
+
+def counted(monkeypatch, name):
+    """Replace ensembles.<name> by a wrapper that records each call; return the record."""
+    calls = []
+    real = getattr(ensembles, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, name, wrapper)
+    return calls
+
+
+def min_gap_at_zero(m) -> float:
+    return float(np.min(np.abs(wrap_to_pi(unitary_eigensystem(m).angles))))
+
+
+class TestGapCheck:
+    """The gap of a generated pair is settled by the Bauer-Fike bound or measured."""
+
+    def test_pool_parameters_decompose_nothing(self, monkeypatch):
+        calls = counted(monkeypatch, "unitary_eigensystem")
+        for i in range(32):
+            gen_almost_commuting_pair(32, 1.0, (1e-1, 1e-2, 1e-3, 1e-4)[i % 4], 11, i)
+        assert calls == []
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 16),
+        delta=st.floats(0.01, 3.0),
+        frac=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**16),
+    )
+    def test_settled_pair_is_the_measured_pair(self, n, delta, frac, seed):
+        eps = frac * delta / 2.0
+        assert ensembles._gap_settled(n, delta, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counted(mp, "unitary_eigensystem")
+            u, v, e = gen_almost_commuting_pair(n, delta, eps, seed)
+            assert calls == []
+            mp.setattr(ensembles, "_gap_settled", lambda *args: False)
+            mu, mv, me = gen_almost_commuting_pair(n, delta, eps, seed)
+            assert len(calls) == 2
+        for got, want in ((u, mu), (v, mv)):
+            assert np.array_equal(got.mat, want.mat)
+            assert got.defect == want.defect
+        assert e == me
+        assert min(min_gap_at_zero(u), min_gap_at_zero(v)) >= delta / 2.0
+
+    @pytest.mark.parametrize("eps", [np.nextafter(0.5, 0.0), 0.5, 0.6])
+    def test_gap_measured_near_and_above_half_delta(self, monkeypatch, eps):
+        calls = counted(monkeypatch, "unitary_eigensystem")
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, eps, 3)
+        assert not ensembles._gap_settled(8, 1.0, eps)
+        assert len(calls) >= 2
+        assert min(min_gap_at_zero(u), min_gap_at_zero(v)) >= 0.5
+
+    def test_retries_exhausted(self, monkeypatch):
+        draws = counted(monkeypatch, "stream_rng")
+        with pytest.raises(NumericalError, match="perturbation kept closing the gap"):
+            gen_almost_commuting_pair(8, 2.5, 2.5, 0)
+        assert len(draws) == MAX_REGEN_RETRIES
 
 
 class TestVoiculescu:

@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearcomm import (
     GapTooSmallError,
@@ -35,6 +37,8 @@ from nearcomm.spectral import center_gap
 
 # the package re-exports the function gapped_log under its module's name
 gapped_log_module = importlib.import_module("nearcomm.gapped_log")
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
 def single_term_coefficients() -> LaurentCoefficients:
@@ -91,10 +95,27 @@ class TestPipelineOptions:
     def test_zero_min_gap_allowed(self):
         assert PipelineOptions(min_gap=0.0).min_gap == 0.0
 
-    def test_max_sweeps_checked_by_the_joint_diagonalization(self):
-        u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
+    @pytest.mark.parametrize("max_sweeps", [0, -1, 2.5, float("nan")])
+    def test_rejects_bad_max_sweeps_at_construction(self, max_sweeps):
         with pytest.raises(InvalidInputError, match="max_sweeps"):
-            near_commuting_unitaries(u, v, PipelineOptions(max_sweeps=0))
+            PipelineOptions(max_sweeps=max_sweeps)
+
+    def test_bad_max_sweeps_never_reaches_center_gap(self, monkeypatch):
+        calls = []
+        real = pipeline.center_gap
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "center_gap", counted)
+        u, v = gen_voiculescu_pair(16)
+        with pytest.raises(InvalidInputError, match="max_sweeps"):
+            near_commuting_unitaries(u, v, PipelineOptions(min_gap=0.3, max_sweeps=0))
+        assert calls == []
+        with pytest.raises(GapTooSmallError):
+            near_commuting_unitaries(u, v, PipelineOptions(min_gap=0.3, max_sweeps=1))
+        assert len(calls) == 2
 
 
 class TestNearCommutingUnitaries:
@@ -274,6 +295,29 @@ def defect_calls(monkeypatch):
             monkeypatch.setattr(module, "unitarity_defect", counting)
     return calls
 
+
+class TestPhaseCovariance:
+    """Scalar phases on the inputs come back as the same phases on the outputs."""
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 16),
+        eps=st.sampled_from([1e-1, 1e-3, 0.0]),
+        alpha=st.floats(0.0, 2.0 * np.pi),
+        beta=st.floats(0.0, 2.0 * np.pi),
+        seed=st.integers(0, 2**16),
+    )
+    def test_phases_pass_through(self, n, eps, alpha, beta, seed):
+        u, v, _ = gen_almost_commuting_pair(n, 1.0, eps, seed)
+        pu, pv = np.exp(1j * alpha), np.exp(1j * beta)
+        res = near_commuting_unitaries(u, v)
+        turned = near_commuting_unitaries(pu * u.mat, pv * v.mat)
+        tol = 1e-10 * n
+        assert np.max(np.abs(turned.x.mat - pu * res.x.mat)) <= tol
+        assert np.max(np.abs(turned.y.mat - pv * res.y.mat)) <= tol
+        # absolute: at eps = 0 both distances are rounding, ~1e-15
+        assert turned.dist_u == pytest.approx(res.dist_u, rel=0, abs=tol)
+        assert turned.dist_v == pytest.approx(res.dist_v, rel=0, abs=tol)
 
 class TestDecompositionCounts:
     """Each input is decomposed once, by one eigvalsh and one eigh of a
