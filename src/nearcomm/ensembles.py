@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
-    DEFAULT_TOLERANCES,
+    UNITARITY_TOL,
     UnitaryMatrix,
     commutator,
     herm_exp,
@@ -26,8 +26,16 @@ from .spectral import TWO_PI, unitary_eigensystem, wrap_to_pi
 MAX_REGEN_RETRIES = 8
 
 
+def check_seed(*keys) -> None:
+    """Reject a seed or stream index that is not an integer >= 0."""
+    for key in keys:
+        if not isinstance(key, numbers.Integral) or key < 0:
+            raise InvalidInputError(f"seed and stream indices must be integers >= 0, got {key}")
+
+
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream indices)."""
+    """Philox generator keyed by (seed, stream indices), each an integer >= 0."""
+    check_seed(seed, *stream)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(seed=ss))
 
@@ -82,7 +90,7 @@ def _gap_at_zero(u) -> float:
 def _gap_settled(n: int, delta: float, eps_target: float) -> bool:
     """Whether the bound in gen_almost_commuting_pair proves both measured gaps >= delta/2."""
     rho = 24.0 * (n + 1) ** 2 * (np.finfo(float).eps / 2.0)
-    slack = (np.pi / 2.0) * (DEFAULT_TOLERANCES.unitarity(n) + 3.0 * rho) * (1.0 + 2.0 * rho)
+    slack = (np.pi / 2.0) * (UNITARITY_TOL * n + 3.0 * rho) * (1.0 + 2.0 * rho)
     return eps_target * (1.0 + rho) + slack + rho <= delta / 2.0
 
 
@@ -120,8 +128,8 @@ def gen_almost_commuting_pair(
       which errs by at most 4 n (n + 2) u relative, and eps*G rounds once
       more, so |eps G| <= eps (1 + rho);
     - the slack of the measured check: its eigensystem Z, angles theta
-      passes |Z diag(e^{i*theta}) Z^H - U| <= tau = DEFAULT_TOLERANCES.
-      unitarity(n), with Z orthonormal to within rho, so each e^{i*theta_j}
+      passes |Z diag(e^{i*theta}) Z^H - U| <= tau = UNITARITY_TOL * n,
+      with Z orthonormal to within rho, so each e^{i*theta_j}
       has residual at most (tau + 3 rho)(1 + 2 rho) against the exactly
       unitary matrix, and by Bauer-Fike lies within that chord of its
       spectrum; a chord c subtends an arc of at most (pi/2) c. The

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BranchPointError, InvalidInputError, PreconditionError, TruncationError
-from .linalg import DEFAULT_TOLERANCES, HermitianMatrix, ToleranceConfig, _frozen, hermitian_part
+from .linalg import HermitianMatrix, _frozen, hermitian_part
 from .spectral import Eigensystem, unitary_eigensystem, wrap_to_pi
 
 # Decay constant of the coefficient envelope |c_k| <= C/(gamma*k^4):
@@ -205,7 +205,6 @@ def gapped_log(
     gamma: float,
     trunc_order: int,
     series_target: float = 1e-6,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> tuple[SeriesLog, LaurentCoefficients]:
     """Hermitian H = g_K(U) = sum_{|k|<=K} c_k U^k, K = trunc_order, with exp(iH) = U.
 
@@ -219,7 +218,7 @@ def gapped_log(
     weighted_sum() * r of the series in U for any r >= |U~ - U|, such as
     the eigensystem's residual.
     """
-    es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u, tolerances)
+    es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u)
     measured = float(np.min(np.abs(wrap_to_pi(es.angles))))
     if not gamma < measured:
         raise PreconditionError(
@@ -239,14 +238,14 @@ def gapped_log(
     return SeriesLog((m + m.conj().T) / 2.0, 0.0, values), lc
 
 
-def direct_log(u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> HermitianMatrix:
+def direct_log(u) -> HermitianMatrix:
     """Principal-branch log by eigendecomposition: H = sum_j phi_j v_j v_j^H.
 
     Eigenangles are taken in (0, 2pi); an angle within 1e-9 of the branch
     cut at 0 is rejected as ambiguous. Serves as the oracle for the series
     log.
     """
-    es = unitary_eigensystem(u, tolerances)
+    es = unitary_eigensystem(u)
     dist = np.abs(wrap_to_pi(es.angles))
     if np.any(dist < 1e-9):
         raise BranchPointError(

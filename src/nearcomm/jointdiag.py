@@ -24,14 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    HermitianMatrix,
-    ToleranceConfig,
-    _frozen,
-    as_square_array,
-    operator_norm,
-)
+from .linalg import HermitianMatrix, _frozen, operator_norm
 
 # weight phi of B in the warm-start matrix A + phi*B: fixed, so runs are
 # deterministic; irrational, so for rational spectra a + phi*b = a' + phi*b'
@@ -76,17 +69,8 @@ class CommutingHermitianPair:
             object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
 
 
-def off_measure(a, b) -> float:
-    """Sum of squared moduli of the off-diagonal entries of both matrices."""
-    ma = as_square_array(a, "first matrix")
-    mb = as_square_array(b, "second matrix")
-    if ma.shape != mb.shape:
-        raise InvalidInputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return _off((ma, mb), ~np.eye(ma.shape[0], dtype=bool))
-
-
 def _off(w, mask: np.ndarray) -> float:
-    """off_measure of the pair w = (A, B), given the off-diagonal mask, unchecked."""
+    """off of the pair w = (A, B): the summed squared moduli of the entries under mask."""
     return float(np.sum(np.abs(w[0][mask]) ** 2) + np.sum(np.abs(w[1][mask]) ** 2))
 
 
@@ -117,12 +101,7 @@ def check_max_sweeps(max_sweeps) -> None:
         raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {max_sweeps}")
 
 
-def nearest_commuting_pair(
-    a,
-    b,
-    max_sweeps: int = 100,
-    tolerances: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> CommutingHermitianPair:
+def nearest_commuting_pair(a, b, max_sweeps: int = 100) -> CommutingHermitianPair:
     """Exactly commuting Hermitian pair (A', B') near Hermitian (A, B).
 
     A HermitianMatrix argument is trusted; a plain array is checked by
@@ -141,7 +120,7 @@ def nearest_commuting_pair(
     """
     check_max_sweeps(max_sweeps)
     ma, mb = (
-        m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix.from_array(m, tolerances).mat
+        m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix.from_array(m).mat
         for m in (a, b)
     )
     if ma.shape != mb.shape:

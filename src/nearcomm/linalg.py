@@ -4,12 +4,13 @@ All matrices are square complex128 arrays. The norm used throughout is the
 operator norm induced by the Euclidean vector norm, i.e. the largest
 singular value, computed as the root of the Gram matrix's top eigenvalue
 (_spectral_norm). Structural properties (unitarity, hermiticity) are tracked
-as defects against configurable tolerances that scale linearly with the
-dimension; the tolerance checks live here, in from_array. A defect is
-checked where a matrix enters from outside (a plain array passed to
-from_array or to a function that takes one) and measured where rounding
-can break the property (the output of an exponential); it is recorded as
-0 for an exact symmetrization (hermitian_part). An entry check records
+as defects against fixed thresholds that scale linearly with the
+dimension (the *_TOL constants below); the checks live here, in
+from_array. A defect is checked where a matrix enters from outside (a
+plain array passed to from_array or to a function that takes one) and
+measured where rounding can break the property (the output of an
+exponential); it is recorded as 0 for an exact symmetrization
+(hermitian_part). An entry check records
 gated_norm of the defect matrix, a certified upper bound within sqrt(n)
 of its operator norm that meets the tolerance exactly when that norm
 does; a reported defect (unitarity_defect, hermiticity_defect,
@@ -28,33 +29,14 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Per-dimension tolerance coefficients.
-
-    Each is multiplied by the matrix dimension n where it is applied.
-    """
-
-    unitarity_tol: float = 1e-8
-    hermiticity_tol: float = 1e-8
-    commute_tol: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("unitarity_tol", "hermiticity_tol", "commute_tol"):
-            if not getattr(self, name) > 0:
-                raise InvalidInputError(f"{name} must be strictly positive")
-
-    def unitarity(self, n: int) -> float:
-        return self.unitarity_tol * n
-
-    def hermiticity(self, n: int) -> float:
-        return self.hermiticity_tol * n
-
-    def commute(self, n: int) -> float:
-        return self.commute_tol * n
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+# tolerance coefficients, each multiplied by the dimension n where it is
+# applied: |M^H M - I|, |M - M^H| and the output commutator |[X, Y]|
+UNITARITY_TOL = 1e-8
+HERMITICITY_TOL = 1e-8
+COMMUTE_TOL = 1e-10
+# not scaled by n: eigenvalues of a numerically unitary matrix must sit
+# this close to the unit circle before radial projection is considered safe
+MODULUS_TOL = 1e-6
 
 
 def as_square_array(m, name: str = "matrix") -> np.ndarray:
@@ -112,9 +94,9 @@ class HermitianMatrix(_CertifiedMatrix):
             )
 
     @classmethod
-    def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "HermitianMatrix":
+    def from_array(cls, m) -> "HermitianMatrix":
         a = as_square_array(m)
-        tol = tolerances.hermiticity(a.shape[0])
+        tol = HERMITICITY_TOL * a.shape[0]
         d = gated_norm(_skew(a), tol)
         if not d <= tol:
             raise InvalidInputError(f"hermiticity defect {d:.3e} exceeds tolerance {tol:.3e}")
@@ -125,9 +107,9 @@ class UnitaryMatrix(_CertifiedMatrix):
     """A matrix certified unitary up to the recorded defect |M^H M - I|."""
 
     @classmethod
-    def from_array(cls, m, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> "UnitaryMatrix":
+    def from_array(cls, m) -> "UnitaryMatrix":
         a = as_square_array(m)
-        tol = tolerances.unitarity(a.shape[0])
+        tol = UNITARITY_TOL * a.shape[0]
         d = gated_norm(_gram_defect(a), tol)
         if not d <= tol:  # a NaN defect, from a product that overflowed, fails too
             raise InvalidInputError(f"unitarity defect {d:.3e} exceeds tolerance {tol:.3e}")
@@ -244,9 +226,7 @@ def unitary_from_angles(basis, angles) -> np.ndarray:
     return (basis * np.exp(1j * angles)) @ basis.conj().T
 
 
-def certified_unitary(
-    m: np.ndarray, what: str, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
-) -> UnitaryMatrix:
+def certified_unitary(m: np.ndarray, what: str) -> UnitaryMatrix:
     """m with its measured unitarity defect, for a unitary this package built.
 
     A defect above tolerance is a numerical failure of ours, not bad input,
@@ -254,12 +234,12 @@ def certified_unitary(
     """
     n = m.shape[0]
     d = unitarity_defect(m)
-    if not d <= tolerances.unitarity(n):
+    if not d <= UNITARITY_TOL * n:
         raise NumericalError(f"{what} lost unitarity: defect {d:.3e} for {n}x{n} input")
     return UnitaryMatrix(m, d)
 
 
-def herm_exp(h, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> UnitaryMatrix:
+def herm_exp(h) -> UnitaryMatrix:
     """exp(iH) for Hermitian H, via eigendecomposition.
 
     A HermitianMatrix is trusted; a plain array is checked by
@@ -268,10 +248,10 @@ def herm_exp(h, tolerances: ToleranceConfig = DEFAULT_TOLERANCES) -> UnitaryMatr
     equal the eigenvalues of H mod 2pi; the output's unitarity is measured.
     """
     if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix.from_array(h, tolerances)
+        h = HermitianMatrix.from_array(h)
     n = h.n
     try:
         w, q = np.linalg.eigh(h.mat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed for {n}x{n} input: {exc}") from exc
-    return certified_unitary(unitary_from_angles(q, w), "exponential", tolerances)
+    return certified_unitary(unitary_from_angles(q, w), "exponential")

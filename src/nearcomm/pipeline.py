@@ -11,7 +11,7 @@ exponential, truncation slack) is measured and checked on each run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .errors import GapTooSmallError, InvalidInputError, NumericalError
 from .gapped_log import LaurentCoefficients, SeriesLog, certified_truncation, gapped_log
 from .jointdiag import check_max_sweeps, nearest_commuting_pair
 from .linalg import (
-    ToleranceConfig,
+    COMMUTE_TOL,
     UnitaryMatrix,
     _frobenius,
     as_square_array,
@@ -38,7 +38,6 @@ class PipelineOptions:
     min_gap: float = 0.1
     series_target: float = 1e-6
     max_sweeps: int = 100
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
 
     def __post_init__(self):
         # written so that NaN fails both
@@ -241,14 +240,13 @@ def near_commuting_unitaries(
       NumericalError. Q has gathered every sweep's Cayley factor, so [X, Y]
       is zero only as far as Q is orthonormal, and the check enforces it.
     """
-    tol = opts.tolerances
     a_u = as_square_array(u, "U")
     a_v = as_square_array(v, "V")
     n = a_u.shape[0]
     eps = operator_norm(commutator(a_u, a_v))
 
-    es_u, zeta1, gap1 = center_gap(u, tol)
-    es_v, zeta2, gap2 = center_gap(v, tol)
+    es_u, zeta1, gap1 = center_gap(u)
+    es_v, zeta2, gap2 = center_gap(v)
     if gap1.half_width <= opts.min_gap or gap2.half_width <= opts.min_gap:
         raise GapTooSmallError(
             f"gap half-widths ({gap1.half_width:.6f}, {gap2.half_width:.6f}) "
@@ -261,8 +259,8 @@ def near_commuting_unitaries(
     gamma2 = gap2.half_width / 2.0
     k1 = certified_truncation(gamma1, opts.series_target)
     k2 = certified_truncation(gamma2, opts.series_target)
-    log_u, coeffs_u = gapped_log(es_u, gamma1, k1, opts.series_target, tol)
-    log_v, coeffs_v = gapped_log(es_v, gamma2, k2, opts.series_target, tol)
+    log_u, coeffs_u = gapped_log(es_u, gamma1, k1, opts.series_target)
+    log_v, coeffs_v = gapped_log(es_v, gamma2, k2, opts.series_target)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
     bound = log_commutator_bound(
@@ -279,7 +277,7 @@ def near_commuting_unitaries(
             f"{bound.predicted:.3e} plus slack {slack:.3e}"
         )
 
-    pair = nearest_commuting_pair(log_u, log_v, opts.max_sweeps, tol)
+    pair = nearest_commuting_pair(log_u, log_v, opts.max_sweeps)
     herm_dist_a = pair.dist_a
     herm_dist_b = pair.dist_b
 
@@ -299,12 +297,12 @@ def near_commuting_unitaries(
     if dist_v > herm_dist_b + coeffs_v.tail + es_v.residual + 1e-10 * n:
         raise NumericalError("distance to Y exceeds log distance plus tail and residual slack")
 
-    x = certified_unitary(x_mat, "output X", tol)
-    y = certified_unitary(y_mat, "output Y", tol)
+    x = certified_unitary(x_mat, "output X")
+    y = certified_unitary(y_mat, "output Y")
     comm_after = operator_norm(commutator(x_mat, y_mat))
-    if comm_after > tol.commute(n):
+    if comm_after > COMMUTE_TOL * n:
         raise NumericalError(
-            f"output commutator {comm_after:.3e} exceeds tolerance {tol.commute(n):.3e}"
+            f"output commutator {comm_after:.3e} exceeds tolerance {COMMUTE_TOL * n:.3e}"
         )
 
     return PipelineResult(

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import InvalidInputError, NumericalError
 from .linalg import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
+    MODULUS_TOL,
+    UNITARITY_TOL,
     UnitaryMatrix,
     _frozen,
     gated_norm,
@@ -36,10 +36,6 @@ from .linalg import (
 )
 
 TWO_PI = 2.0 * np.pi
-
-# eigenvalues of a numerically unitary matrix must sit this close to the
-# unit circle before radial projection is considered safe
-MODULUS_TOL = 1e-6
 
 # the first Cayley probe, and the step to the next one when a probe sits on
 # an eigenvalue (the golden angle, so repeated steps never revisit a probe)
@@ -108,9 +104,7 @@ def _cayley(a: np.ndarray, psi: float) -> np.ndarray | None:
     return (h + h.conj().T) / 2.0
 
 
-def unitary_eigensystem(
-    u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
-) -> Eigensystem:
+def unitary_eigensystem(u) -> Eigensystem:
     """Eigenangles and orthonormal eigenbasis of a unitary matrix.
 
     Two probes of the Cayley transform H(psi) in the module docstring:
@@ -126,7 +120,7 @@ def unitary_eigensystem(
     UnitaryMatrix.from_array. The Rayleigh quotients must lie within
     MODULUS_TOL of the unit circle, and the reconstruction residual
     |Z diag(e^{i*angles}) Z^H - U| must stay within
-    tolerances.unitarity(n); the eigensystem carries gated_norm of that
+    UNITARITY_TOL * n; the eigensystem carries gated_norm of that
     difference, the certified bound the gate reads, as its residual.
     When either check fails, UnitaryMatrix.from_array checks the input
     before the failure is raised, since a trusted UnitaryMatrix may carry
@@ -134,9 +128,9 @@ def unitary_eigensystem(
     rather than reported as a numerical failure.
     """
     if not isinstance(u, UnitaryMatrix):
-        u = UnitaryMatrix.from_array(u, tolerances)
+        u = UnitaryMatrix.from_array(u)
     a, n = u.mat, u.n
-    tol = tolerances.unitarity(n)
+    tol = UNITARITY_TOL * n
     psi, rough = _FIRST_PROBE, True
     for _ in range(_MAX_PROBES):
         h = _cayley(a, psi)
@@ -154,7 +148,7 @@ def unitary_eigensystem(
         rq = np.einsum("ij,ij->j", z.conj(), a @ z)
         worst = float(np.max(np.abs(np.abs(rq) - 1.0)))
         if worst > MODULUS_TOL:
-            UnitaryMatrix.from_array(a, tolerances)
+            UnitaryMatrix.from_array(a)
             raise InvalidInputError(
                 f"eigenvalue modulus deviates from 1 by {worst:.3e}; input is not numerically unitary"
             )
@@ -167,7 +161,7 @@ def unitary_eigensystem(
         angles, z = angles[order], z[:, order]
         resid = gated_norm(unitary_from_angles(z, angles) - a, tol)
         if not resid <= tol:
-            UnitaryMatrix.from_array(a, tolerances)
+            UnitaryMatrix.from_array(a)
             raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
         return Eigensystem(angles, z, resid)
     raise NumericalError(f"no well-conditioned Cayley probe after {_MAX_PROBES} tries")
@@ -198,9 +192,7 @@ def largest_gap(angles) -> GapInfo:
     )
 
 
-def center_gap(
-    u, tolerances: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[Eigensystem, float, GapInfo]:
+def center_gap(u) -> tuple[Eigensystem, float, GapInfo]:
     """Rotate a unitary's eigensystem so its largest gap sits at angle 0.
 
     Returns (eigensystem of exp(-i*zeta) * U, zeta, centered gap). The
@@ -210,7 +202,7 @@ def center_gap(
     phase. The centered gap is the gap found on U moved the same way:
     center 0, the same half-width, and lo/hi shifted mod 2pi.
     """
-    es = unitary_eigensystem(u, tolerances)
+    es = unitary_eigensystem(u)
     gap = largest_gap(es.angles)
     zeta = gap.center
     centered = GapInfo(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .ensembles import check_ensemble_params, gen_almost_commuting_pair
+from .ensembles import check_ensemble_params, check_seed, gen_almost_commuting_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
 from .pipeline import PipelineOptions, near_commuting_unitaries
 
@@ -44,6 +44,7 @@ class ExperimentConfig:
         if not isinstance(self.trials, numbers.Integral) or self.trials < 1:
             raise InvalidInputError(f"trials must be an integer >= 1, got {self.trials}")
         check_ensemble_params(self.n, self.delta)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

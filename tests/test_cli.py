@@ -169,6 +169,17 @@ def test_ensemble_delta_outside_open_interval_rejected(tmp_path, capsys, delta):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_negative_seed_rejected_without_writing(tmp_path, capsys):
+    assert main(["generate", "gapped", "--n", "4", "--delta", "1", "--seed", "-1",
+                 "--out", str(tmp_path / "g.mtxc")]) == EXIT_REJECTED
+    # a sweep would otherwise turn each trial's rejection into a NaN row and exit 0
+    assert main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0.01",
+                 "--eps-end", "0.001", "--points", "2", "--trials", "1", "--seed", "-3",
+                 "--out", str(tmp_path / "sweep.csv")]) == EXIT_REJECTED
+    assert not (tmp_path / "g.mtxc").exists() and not (tmp_path / "sweep.csv").exists()
+    assert capsys.readouterr().err.count("seed and stream indices must be integers >= 0") == 2
+
+
 @pytest.mark.parametrize("eps_start", ["nan", "inf"])
 @pytest.mark.parametrize("points", ["1", "2"])
 def test_sweep_non_finite_eps_rejected(tmp_path, capsys, eps_start, points):

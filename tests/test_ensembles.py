@@ -67,6 +67,17 @@ class TestHaar:
         assert np.array_equal(haar_unitary(6, stream_rng(9, 2)), haar_unitary(6, stream_rng(9, 2)))
 
 
+class TestStreamRng:
+    @pytest.mark.parametrize("key", [(-1,), (1.5,), (1.0,), (1, -2), (1, 2.5)])
+    def test_rejects_a_key_that_is_not_a_nonnegative_integer(self, key):
+        with pytest.raises(InvalidInputError, match="seed and stream indices"):
+            stream_rng(*key)
+
+    def test_numpy_integers_draw_the_same_stream(self):
+        assert np.array_equal(stream_rng(np.int64(9), np.uint8(2)).random(4),
+                              stream_rng(9, 2).random(4))
+
+
 class TestAlmostCommutingPair:
     def test_zero_eps_commutes(self):
         u, v, eps = gen_almost_commuting_pair(8, 1.0, 0.0, 5)

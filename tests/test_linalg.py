@@ -10,8 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from nearcomm import InvalidInputError, commutator, haar_unitary, operator_norm, stream_rng
 from nearcomm.linalg import (
+    COMMUTE_TOL,
+    HERMITICITY_TOL,
+    MODULUS_TOL,
+    UNITARITY_TOL,
     HermitianMatrix,
-    ToleranceConfig,
     UnitaryMatrix,
     _spectral_norm,
     as_square_array,
@@ -256,12 +259,10 @@ class TestTypes:
         with pytest.raises(ValueError):
             u.mat[0, 0] = 5.0
 
-    def test_tolerance_config_positive(self):
-        with pytest.raises(InvalidInputError):
-            ToleranceConfig(unitarity_tol=0.0)
-        tols = ToleranceConfig()
-        assert tols.unitarity(4) == pytest.approx(4e-8)
-        assert tols.commute(4) == pytest.approx(4e-10)
+    def test_tolerance_constants(self):
+        # each gate's threshold: the first three are multiplied by n where applied
+        assert (UNITARITY_TOL, HERMITICITY_TOL, COMMUTE_TOL, MODULUS_TOL) == (
+            1e-8, 1e-8, 1e-10, 1e-6)
 
 
 @st.composite
@@ -373,20 +374,19 @@ class TestGatedNorm:
         assert gated_norm(np.zeros((2, 2)), 1e-300) == 0.0
 
     def test_unitary_between_operator_and_frobenius_norm(self):
-        # E = (s^2 - 1) I_4: |E| = 3e-6 meets tol = 4 * 1e-6, |E|_F = 6e-6 does not
-        tols = ToleranceConfig(unitarity_tol=1e-6)
-        a = np.sqrt(1 + 3e-6) * np.eye(4)
-        u = UnitaryMatrix.from_array(a, tols)
-        assert u.defect == unitarity_defect(a) == pytest.approx(3e-6, rel=1e-9)
+        # E = (s^2 - 1) I_4 with s = 1 + 2^-26, so s^2 is exact: |E| = 2.98e-8
+        # meets tol = 4 * 1e-8, |E|_F = 5.96e-8 does not
+        e = 2.0**-25 + 2.0**-52
+        a = (1 + 2.0**-26) * np.eye(4)
+        u = UnitaryMatrix.from_array(a)
+        assert u.defect == unitarity_defect(a) == pytest.approx(e, rel=1e-9)
         with pytest.raises(InvalidInputError, match="unitarity defect"):
-            UnitaryMatrix.from_array(np.sqrt(1 + 4e-6 * (1 + 1e-6)) * np.eye(4), tols)
+            UnitaryMatrix.from_array(np.sqrt(1 + 4e-8 * (1 + 1e-6)) * np.eye(4))
 
     def test_hermitian_between_operator_and_frobenius_norm(self):
-        # |M - M^T| = 1.5e-6 meets tol = 2 * 1e-6, |M - M^T|_F = 2.1e-6 does not
-        tols = ToleranceConfig(hermiticity_tol=1e-6)
-        m = np.array([[0.0, 1.0], [1.0 + 1.5e-6, 0.0]])
-        h = HermitianMatrix.from_array(m, tols)
-        assert h.defect == hermiticity_defect(m) == pytest.approx(1.5e-6, rel=1e-9)
+        # |M - M^T| = 2^-26 = 1.49e-8 meets tol = 2 * 1e-8, |M - M^T|_F = 2.1e-8 does not
+        m = np.array([[0.0, 1.0], [1.0 + 2.0**-26, 0.0]])
+        h = HermitianMatrix.from_array(m)
+        assert h.defect == hermiticity_defect(m) == pytest.approx(2.0**-26, rel=1e-9)
         with pytest.raises(InvalidInputError, match="hermiticity defect"):
-            HermitianMatrix.from_array(np.array([[0.0, 1.0], [1.0 + 2e-6 * (1 + 1e-6), 0.0]]),
-                                       tols)
+            HermitianMatrix.from_array(np.array([[0.0, 1.0], [1.0 + 2e-8 * (1 + 1e-6), 0.0]]))

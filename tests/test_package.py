@@ -1,5 +1,7 @@
 """The package root exports the entry points and nothing else."""
 
+import dataclasses
+
 import nearcomm
 
 PUBLIC = {
@@ -38,3 +40,9 @@ def test_all_is_the_public_api_and_resolves():
     assert set(nearcomm.__all__) == PUBLIC and len(nearcomm.__all__) == 25
     for name in nearcomm.__all__:
         assert getattr(nearcomm, name) is not None
+
+
+def test_pipeline_options_are_the_three_knobs():
+    # the tolerances are module constants, not options
+    names = tuple(f.name for f in dataclasses.fields(nearcomm.PipelineOptions))
+    assert names == ("min_gap", "series_target", "max_sweeps")

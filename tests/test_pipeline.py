@@ -210,15 +210,14 @@ class TestNearCommutingUnitaries:
         assert code == cli.EXIT_NUMERICAL
         assert "lost unitarity" in capsys.readouterr().err
 
-    def test_output_commutator_above_tolerance_is_numerical_failure(self):
+    def test_output_commutator_above_tolerance_is_numerical_failure(self, monkeypatch):
         u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
         res = near_commuting_unitaries(u, v)
         assert res.comm_after > 0
-        opts = PipelineOptions(
-            tolerances=linalg.ToleranceConfig(commute_tol=res.comm_after / 8)
-        )
+        # the gate reads the constant where the pipeline bound it: tolerance comm_after / 2
+        monkeypatch.setattr(pipeline, "COMMUTE_TOL", res.comm_after / 8)
         with pytest.raises(NumericalError, match="output commutator"):
-            near_commuting_unitaries(u, v, opts)
+            near_commuting_unitaries(u, v)
 
     def test_flat_summary_keys(self):
         u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
@@ -451,7 +450,7 @@ class TestHardFamily:
         u, v = tridiagonal_family(n)
         opts = PipelineOptions()
         res = near_commuting_unitaries(u, v, opts)
-        assert res.comm_after <= opts.tolerances.commute(n)
+        assert res.comm_after <= linalg.COMMUTE_TOL * n
         assert res.sweeps <= opts.max_sweeps
         assert res.converged or res.sweeps == opts.max_sweeps
 

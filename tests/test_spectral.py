@@ -16,7 +16,7 @@ from nearcomm import (
     operator_norm,
     stream_rng,
 )
-from nearcomm.linalg import ToleranceConfig, UnitaryMatrix, unitary_from_angles
+from nearcomm.linalg import UNITARITY_TOL, UnitaryMatrix, unitary_from_angles
 from nearcomm.spectral import (
     Eigensystem,
     center_gap,
@@ -73,20 +73,22 @@ class TestEigensystem:
             center_gap(UnitaryMatrix(m, 0.0) if typed else m)
 
     def test_residual_gate_reads_unitarity_tolerance(self):
-        # the residual of this non-normal matrix is 5e-7: rejected at the
-        # default tolerance, accepted once unitarity(2) exceeds it
-        m = np.array([[1.0, 1e-6], [0.0, -1.0]])
+        # non-normal, typed with a false defect 0: an off-diagonal 1e-8 leaves
+        # a certified residual of 7.1e-9, within UNITARITY_TOL * 2; 1e-6 does not
+        small = np.array([[1.0, 1e-8], [0.0, -1.0]])
+        es = unitary_eigensystem(UnitaryMatrix(small, 0.0))
+        assert 5e-9 < es.residual <= UNITARITY_TOL * 2
+        large = np.array([[1.0, 1e-6], [0.0, -1.0]])
         with pytest.raises(InvalidInputError, match="unitarity defect"):
-            unitary_eigensystem(UnitaryMatrix(m, 0.0))
-        loose = ToleranceConfig(unitarity_tol=1e-5)
-        es = unitary_eigensystem(UnitaryMatrix(m, 0.0), tolerances=loose)
-        assert 4e-7 < es.residual <= loose.unitarity(2)
+            unitary_eigensystem(UnitaryMatrix(large, 0.0))
 
     def test_modulus_check_behind_loose_tolerance(self):
-        # with the defect gate opened wide, the radial-projection guard fires
-        loose = ToleranceConfig(unitarity_tol=1.0)
+        # at n = 256 the defect gate (2.56e-6) passes an eigenvalue of modulus
+        # 1 + 1.2e-6 (defect 2.4e-6); the radial-projection guard (1e-6) fires
+        d = np.ones(256)
+        d[0] = 1.0 + 1.2e-6
         with pytest.raises(InvalidInputError, match="modulus"):
-            unitary_eigensystem(np.diag([1.0 + 2e-5, 1.0]), tolerances=loose)
+            unitary_eigensystem(np.diag(d))
 
 
 def schur_eigensystem(m):
@@ -122,7 +124,7 @@ class TestAgainstSchur:
         gap, ref_gap = largest_gap(es.angles), largest_gap(ref.angles)
         assert abs(wrap_to_pi(gap.center - ref_gap.center)) <= 1e-13
         assert gap.half_width == pytest.approx(ref_gap.half_width, abs=1e-13)
-        assert 0.0 <= es.residual <= ToleranceConfig().unitarity(n)
+        assert 0.0 <= es.residual <= UNITARITY_TOL * n
         # a certified upper bound, within sqrt(n) of the exact residual
         exact = operator_norm(rebuild(es) - m)
         assert exact <= es.residual <= np.sqrt(n) * exact * (1 + 1e-9)

@@ -64,6 +64,12 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             small_config(delta=delta)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 7.0, float("nan")])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # checked here: run_sweep turns a per-trial InvalidInputError into a NaN row
+        with pytest.raises(InvalidInputError, match="seed"):
+            small_config(seed=seed)
+
     def test_dimension_checked_before_delta(self):
         with pytest.raises(InvalidInputError, match="dimension"):
             small_config(n=0, delta=4.0)
