@@ -54,10 +54,6 @@ def _cmd_log(args) -> int:
     u = _load_unitary(args.matrix)
     es, zeta, gap = center_gap(u)
     gamma = args.gamma if args.gamma is not None else gap.half_width / 2.0
-    if not 0 < gamma < gap.half_width:
-        raise PreconditionError(
-            f"gamma = {gamma} must lie in (0, {gap.half_width:.6f}), the measured gap half-width"
-        )
     order = certified_truncation(gamma, args.target)
     h, lc = gapped_log(es, gamma, order, args.target)
     out = args.out if args.out is not None else "log.mtxc"

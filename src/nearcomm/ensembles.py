@@ -15,10 +15,10 @@ from .errors import InvalidInputError, NumericalError
 from .linalg import (
     UNITARITY_TOL,
     UnitaryMatrix,
+    certified_unitary,
     commutator,
     herm_exp,
     operator_norm,
-    unitarity_defect,
     unitary_from_angles,
 )
 from .spectral import TWO_PI, unitary_eigensystem, wrap_to_pi
@@ -79,7 +79,7 @@ def gen_gapped_unitary(n: int, delta: float, seed: int, *stream: int) -> Unitary
     angles = rng.uniform(delta, TWO_PI - delta, size=n)
     basis = haar_unitary(n, rng)
     mat = unitary_from_angles(basis, angles)
-    return UnitaryMatrix(mat, unitarity_defect(mat))
+    return certified_unitary(mat, "gapped unitary")
 
 
 def _gap_at_zero(u) -> float:
@@ -155,8 +155,8 @@ def gen_almost_commuting_pair(
         v0 = unitary_from_angles(basis, angles_v)
         g = random_hermitian_unit_norm(n, rng)
         u_mat = herm_exp(eps_target * g).mat @ u0
-        u = UnitaryMatrix(u_mat, unitarity_defect(u_mat))
-        v = UnitaryMatrix(v0, unitarity_defect(v0))
+        u = certified_unitary(u_mat, "perturbed U")
+        v = certified_unitary(v0, "V")
         if settled or (_gap_at_zero(u) >= delta / 2.0 and _gap_at_zero(v) >= delta / 2.0):
             eps_actual = operator_norm(commutator(u_mat, v0))
             return u, v, eps_actual
@@ -180,7 +180,4 @@ def gen_voiculescu_pair(n: int) -> tuple[UnitaryMatrix, UnitaryMatrix]:
     shift = np.zeros((n, n), dtype=np.complex128)
     shift[np.arange(1, n), np.arange(n - 1)] = 1.0
     shift[0, n - 1] = 1.0
-    return (
-        UnitaryMatrix(clock, unitarity_defect(clock)),
-        UnitaryMatrix(shift, unitarity_defect(shift)),
-    )
+    return certified_unitary(clock, "clock matrix"), certified_unitary(shift, "shift matrix")

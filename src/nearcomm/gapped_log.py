@@ -28,11 +28,12 @@ from .errors import BranchPointError, InvalidInputError, PreconditionError, Trun
 from .linalg import HermitianMatrix, _frozen, hermitian_part
 from .spectral import Eigensystem, unitary_eigensystem, wrap_to_pi
 
-# Decay constant of the coefficient envelope |c_k| <= C/(gamma*k^4):
-# sup_s s^3 |X(s)| for the unit-mass kernel transform X is 25.3834 (attained
-# near s = 4.514); the default adds margin so truncation orders chosen from
-# it always satisfy the measured tail check. Scales as 1/gamma^2.
+# Bound on sup_s s^3 |X(s)| for the unit-mass kernel transform X, whose
+# value is 25.3834 (near s = 4.514). |c_k| = |X(gamma*k)|/k, so every
+# coefficient obeys |c_k| <= (ENVELOPE_CONSTANT/gamma^2)/(gamma*k^4).
 ENVELOPE_CONSTANT = 26.0
+# Largest truncation order accepted: the coefficients take 96 B per order, 384 MiB at the cap
+MAX_TRUNCATION_ORDER = 2**22
 
 _TAYLOR_CUTOFF = 2.0
 # h(s) = 105 * sum_m (-1)^m s^(2m) / ((2m)! (2m+1)(2m+3)(2m+5)(2m+7));
@@ -84,8 +85,8 @@ class LaurentCoefficients:
     """Smoothed sawtooth coefficients c_k for |k| <= trunc_order.
 
     coeffs[trunc_order + k] holds c_k; c_{-k} = conj(c_k) by construction.
-    c_emp is the measured decay constant max |c_k|*gamma*k^4 and tail the
-    certified bound on sum_{|k| > trunc_order} |c_k|.
+    tail bounds sum_{|k| > trunc_order} |c_k| (_envelope_tail); c_emp, the
+    measured max |c_k|*gamma*k^4 over k <= trunc_order, is only reported.
     """
 
     gamma: float
@@ -132,16 +133,17 @@ def laurent_coefficients(gamma: float, trunc_order: int) -> LaurentCoefficients:
     """Coefficients c_k = d_k * X(k) of the smoothed sawtooth, |k| <= K."""
     if not 0 < gamma < np.pi:
         raise InvalidInputError(f"gamma must lie in (0, pi), got {gamma}")
-    if not isinstance(trunc_order, numbers.Integral) or trunc_order < 1:
-        raise InvalidInputError(f"truncation order must be an integer >= 1, got {trunc_order}")
+    if not isinstance(trunc_order, numbers.Integral) or not 1 <= trunc_order <= MAX_TRUNCATION_ORDER:
+        raise InvalidInputError(f"truncation order must be an integer in "
+                                f"[1, {MAX_TRUNCATION_ORDER}], got {trunc_order}")
+    trunc_order = int(trunc_order)  # an int64 order**3 would wrap past 2^21
     k = np.arange(1, trunc_order + 1)
     damp = kernel_transform(gamma, k)
     pos = (1j / k) * damp
     coeffs = np.concatenate([np.conj(pos[::-1]), [complex(np.pi)], pos])
     c_emp = float(np.max(np.abs(pos) * gamma * k**4))
-    tail = 2.0 * c_emp / (3.0 * gamma * trunc_order**3)
-    return LaurentCoefficients(gamma=float(gamma), trunc_order=int(trunc_order),
-                               coeffs=coeffs, c_emp=c_emp, tail=tail)
+    return LaurentCoefficients(gamma=float(gamma), trunc_order=trunc_order, coeffs=coeffs,
+                               c_emp=c_emp, tail=_envelope_tail(gamma, trunc_order))
 
 
 def evaluate_smoothed_sawtooth(theta: float, gamma: float, trunc_order: int) -> float:
@@ -154,34 +156,38 @@ def evaluate_smoothed_sawtooth(theta: float, gamma: float, trunc_order: int) -> 
     return float(laurent_coefficients(gamma, trunc_order).evaluate(theta))
 
 
-def choose_truncation(gamma: float, target: float, c_est: float | None = None) -> int:
-    """Smallest K with 2*C/(3*gamma*K^3) <= target.
+def _envelope_tail(gamma: float, order: int) -> float:
+    """Bound on sum_{|k| > order} |c_k|, as sum_{k > order} 1/k^4 <= 1/(3*order^3)."""
+    return 2.0 * (ENVELOPE_CONSTANT / gamma**2) / (3.0 * gamma * order**3)
 
-    c_est defaults to the envelope constant rescaled by 1/gamma^2, its
-    measured scaling.
+
+def choose_truncation(gamma: float, target: float) -> int:
+    """Smallest K with _envelope_tail(gamma, K) <= target.
+
+    Raises PreconditionError, naming the order, when it exceeds
+    MAX_TRUNCATION_ORDER.
     """
-    if not gamma > 0 or not target > 0 or (c_est is not None and not c_est > 0):
-        raise InvalidInputError("gamma, target and c_est must be positive")
-    if c_est is None:
-        c_est = ENVELOPE_CONSTANT / gamma**2
-    k = max(1, math.ceil((2.0 * c_est / (3.0 * gamma * target)) ** (1.0 / 3.0)))
-    while k > 1 and 2.0 * c_est / (3.0 * gamma * (k - 1) ** 3) <= target:
+    if not 0 < gamma < np.pi or not target > 0:
+        raise InvalidInputError(f"need 0 < gamma < pi and target > 0, got {gamma} and {target}")
+    # log10 of the real K solving the tail equation, taken in logs so that
+    # no gamma or target overflows it; a decade past the cap, where gamma^2
+    # may underflow, no tail is formed
+    digits = (math.log10(2.0 * ENVELOPE_CONSTANT / 3.0) - 3.0 * math.log10(gamma)
+              - math.log10(target)) / 3.0
+    far_past_cap = digits > math.log10(MAX_TRUNCATION_ORDER) + 1.0
+    if far_past_cap or _envelope_tail(gamma, MAX_TRUNCATION_ORDER) > target:
+        raise PreconditionError(f"gamma = {gamma}, target = {target} need truncation order ~"
+                                f"{10 ** (digits % 1):.1f}e{int(digits)} > {MAX_TRUNCATION_ORDER}")
+    k = max(1, math.ceil(10.0**digits))
+    while k > 1 and _envelope_tail(gamma, k - 1) <= target:
         k -= 1
-    while 2.0 * c_est / (3.0 * gamma * k**3) > target:
+    while _envelope_tail(gamma, k) > target:
         k += 1
     return k
 
 
-def certified_truncation(gamma: float, target: float) -> int:
-    """Truncation order whose measured tail bound certifies the target.
-
-    choose_truncation's first estimate already certifies it: the measured
-    decay constant obeys c_emp * gamma^2 <= sup_s s^3 |X(s)| = 25.3834 <
-    ENVELOPE_CONSTANT, so the measured tail at that order is at most
-    25.3834/26 of the target. gapped_log re-measures the tail on the
-    coefficients it sums and raises TruncationError if it ever falls short.
-    """
-    return choose_truncation(gamma, target)
+# perfbench's frozen tracer wraps pipeline.certified_truncation and cli.certified_truncation
+certified_truncation = choose_truncation
 
 
 @dataclass(frozen=True)

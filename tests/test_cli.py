@@ -1,17 +1,22 @@
 """CLI subcommands, output formats, exit codes."""
 
 import dataclasses
+import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nearcomm
 from nearcomm import cli, commutator, operator_norm
 from nearcomm import mtxc
 from nearcomm.linalg import herm_exp
 from nearcomm.cli import EXIT_OK, EXIT_REJECTED, main
+from nearcomm.sweep import CSV_FIELDS
 
 
 def parse_kv(text: str) -> dict:
@@ -156,6 +161,70 @@ def test_log_gamma_out_of_range_rejected(tmp_path, capsys):
           "--out", str(u_path)])
     capsys.readouterr()
     assert main(["log", str(u_path), "--gamma", "3.2"]) == EXIT_REJECTED
+
+
+@pytest.mark.parametrize("gamma", ["-1", "nan", "inf", "beyond-gap"])
+def test_log_gamma_rejected_by_the_truncation_or_the_gap(tmp_path, capsys, gamma):
+    # choose_truncation rejects gamma outside (0, pi); gapped_log a gamma at
+    # or past the measured gap half-width
+    u_path = tmp_path / "u.mtxc"
+    main(["generate", "gapped", "--n", "4", "--delta", "0.5", "--seed", "3",
+          "--out", str(u_path)])
+    main(["gap", str(u_path)])
+    if gamma == "beyond-gap":
+        gamma = repr(1.001 * float(parse_kv(capsys.readouterr().out)["half_width"]))
+    capsys.readouterr()
+    assert main(["log", str(u_path), "--gamma", gamma, "--out", str(tmp_path / "h.mtxc")]) \
+        == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rejected: ")
+    assert not (tmp_path / "h.mtxc").exists()
+
+
+def run_nearcomm(args, cwd):
+    """nearcomm in a subprocess, killed after 10 s so that a hang fails instead of stalling."""
+    env = {**os.environ, "PYTHONPATH": str(Path(nearcomm.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "nearcomm", *args], capture_output=True,
+                          text=True, timeout=10, cwd=cwd, env=env)
+
+
+def assert_rejected_for_order(proc):
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == EXIT_REJECTED, proc.stderr
+    assert len(lines) == 1, proc.stderr
+    assert re.fullmatch(r"rejected: .* need truncation order ~\d\.\de\d+ > 4194304", lines[0])
+
+
+@pytest.mark.parametrize("target", ["1e-300", "1e-30", "5e-324"])
+def test_pair_past_the_order_cap_rejected_promptly(tmp_path, target):
+    # 1e-300 looped from K ~ 1e100, 1e-30 asked numpy for 210 GiB and
+    # 5e-324 overflowed math.ceil
+    main(["generate", "pair", "--n", "4", "--delta", "1.0", "--eps", "0.001", "--seed", "4",
+          "--out-u", str(tmp_path / "u.mtxc"), "--out-v", str(tmp_path / "v.mtxc")])
+    proc = run_nearcomm(["pair", "u.mtxc", "v.mtxc", "--target", target], tmp_path)
+    assert_rejected_for_order(proc)
+    assert not (tmp_path / "x.mtxc").exists()
+
+
+def test_log_past_the_order_cap_rejected_promptly(tmp_path):
+    # gamma = 1e-9 needs K ~ 2.6e11: 1.88 TiB of coefficients
+    main(["generate", "gapped", "--n", "4", "--delta", "0.5", "--seed", "3",
+          "--out", str(tmp_path / "u.mtxc")])
+    proc = run_nearcomm(["log", "u.mtxc", "--gamma", "1e-9"], tmp_path)
+    assert_rejected_for_order(proc)
+    assert "~2.6e11" in proc.stderr
+    assert not (tmp_path / "log.mtxc").exists()
+
+
+def test_sweep_past_the_order_cap_records_nan_rows_promptly(tmp_path):
+    proc = run_nearcomm(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0.01",
+                         "--eps-end", "0.001", "--points", "2", "--trials", "2", "--seed", "1",
+                         "--out", "sweep.csv", "--target", "1e-300"], tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+    assert len(rows) == 4
+    cells = [dict(zip(CSV_FIELDS, row.split(","))) for row in rows]
+    assert all(c["dist_u"] == "nan" and c["trunc_order"] == "0" for c in cells)
 
 
 @pytest.mark.parametrize("delta", ["4", "-1"])

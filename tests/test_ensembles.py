@@ -16,7 +16,7 @@ from nearcomm import (
     operator_norm,
     stream_rng,
 )
-from nearcomm import ensembles
+from nearcomm import ensembles, linalg
 from nearcomm.ensembles import MAX_REGEN_RETRIES
 from nearcomm.spectral import unitary_eigensystem, wrap_to_pi
 
@@ -184,6 +184,29 @@ class TestGapCheck:
         with pytest.raises(NumericalError, match="perturbation kept closing the gap"):
             gen_almost_commuting_pair(8, 2.5, 2.5, 0)
         assert len(draws) == MAX_REGEN_RETRIES
+
+
+class TestCertifiedOutput:
+    """Every generated unitary passes the unitarity gate, not just records its defect."""
+
+    def test_gapped_and_pair_generators_gate_the_defect(self, monkeypatch):
+        # doubled matrices have defect 3; herm_exp's own exponential is untouched
+        real = ensembles.unitary_from_angles
+        monkeypatch.setattr(ensembles, "unitary_from_angles", lambda q, w: 2.0 * real(q, w))
+        with pytest.raises(NumericalError, match="gapped unitary lost unitarity"):
+            gen_gapped_unitary(4, 1.0, 1)
+        with pytest.raises(NumericalError, match="perturbed U lost unitarity"):
+            gen_almost_commuting_pair(4, 1.0, 1e-3, 1)
+
+    def test_clock_and_shift_gate_the_defect(self, monkeypatch):
+        monkeypatch.setattr(linalg, "unitarity_defect", lambda m: 1.0)
+        with pytest.raises(NumericalError, match="clock matrix lost unitarity"):
+            gen_voiculescu_pair(4)
+
+    def test_recorded_defect_is_the_measured_one(self):
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 2)
+        for m in (gen_gapped_unitary(8, 1.0, 2), u, v, *gen_voiculescu_pair(8)):
+            assert m.defect == linalg.unitarity_defect(m.mat) <= linalg.UNITARITY_TOL * 8
 
 
 class TestVoiculescu:

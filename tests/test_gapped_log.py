@@ -1,5 +1,7 @@
 """Smoothed-sawtooth coefficients and the series logarithm, against oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -17,9 +19,36 @@ from nearcomm import (
     laurent_coefficients,
     operator_norm,
 )
-from nearcomm.gapped_log import ENVELOPE_CONSTANT, certified_truncation, kernel_transform
+from nearcomm.gapped_log import (
+    ENVELOPE_CONSTANT,
+    MAX_TRUNCATION_ORDER,
+    _envelope_tail,
+    certified_truncation,
+    kernel_transform,
+)
 from nearcomm.linalg import HermitianMatrix, herm_exp, hermiticity_defect
 from nearcomm.spectral import center_gap, unitary_eigensystem
+
+
+# The envelope constant's value, pinned: the truncation orders below are
+# derived from it in exact rational arithmetic, not read from the function.
+C = Fraction(26)
+
+
+def exact_tail(gamma: float, order: int) -> Fraction:
+    """2*C/(3*gamma^3*K^3), the envelope tail, in exact arithmetic."""
+    return 2 * C / (3 * Fraction(gamma) ** 3 * order**3)
+
+
+def smallest_order(gamma: float, target: float) -> int:
+    """Smallest K with exact_tail(gamma, K) <= target, by bisection."""
+    lo, hi = 1, 1
+    while exact_tail(gamma, hi) > Fraction(target):
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if exact_tail(gamma, mid) <= Fraction(target) else (mid + 1, hi)
+    return lo
 
 
 def kernel_transform_quadrature(gamma: float, t: float) -> float:
@@ -102,8 +131,32 @@ class TestSmoothedCoefficients:
         assert lc.trunc_order == 10 and lc.coeffs.shape == (21,)
 
     def test_tail_formula(self):
+        # the envelope tail 2*C/(3*gamma^3*K^3), not the measured c_emp's
         lc = laurent_coefficients(0.5, 100)
-        assert lc.tail == pytest.approx(2 * lc.c_emp / (3 * 0.5 * 100**3), rel=1e-14)
+        assert ENVELOPE_CONSTANT == C
+        assert lc.tail == pytest.approx(float(exact_tail(0.5, 100)), rel=1e-14)
+        assert lc.tail == pytest.approx(52 / 375_000, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.3, 1.0, 2.0, 3.1])
+    @pytest.mark.parametrize("order", [1, 2, 5, 26, 100])
+    def test_tail_bounds_the_remainder(self, gamma, order):
+        # sum_{K < |k| <= M} |c_k| summed directly, plus the envelope beyond
+        # M (proved by test_envelope_constant_bounds_the_supremum). The grid
+        # includes gamma*K below the envelope's peak at s = 4.51, where a
+        # maximum over k <= K alone understates the constant: at (0.1, 26),
+        # the order nearcomm log --gamma 0.1 --target 1 picks, the
+        # remainder exceeds 0.632
+        m = order + 20_000
+        k = np.arange(order + 1, m + 1)
+        remainder = 2.0 * np.sum(np.abs(kernel_transform(gamma, k)) / k)
+        beyond = float(exact_tail(gamma, m))
+        assert laurent_coefficients(gamma, order).tail >= remainder + beyond
+
+    def test_order_above_the_cap_rejected_before_allocating(self):
+        # 10^12 orders would take 96 TB; the check comes first
+        for order in (MAX_TRUNCATION_ORDER + 1, 10**12, np.int64(10**12)):
+            with pytest.raises(InvalidInputError, match="truncation order"):
+                laurent_coefficients(0.5, order)
 
     def test_envelope_does_not_grow(self):
         # decay check without plots: the high-k half of the envelope never
@@ -137,24 +190,42 @@ class TestEvaluateSmoothedSawtooth:
 
 class TestChooseTruncation:
     def test_exact_boundary(self):
-        # 2*1/(3*1*1^3) = 2/3 <= 2/3 at K = 1
-        assert choose_truncation(1.0, 2.0 / 3.0, 1.0) == 1
+        # at gamma = 1 the K = 1 tail is 2*26/3, which float(Fraction) rounds
+        # as the float expression does: that target gives K = 1, one ulp
+        # less gives K = 2 (tail 52/24)
+        target = float(2 * C / 3)
+        assert choose_truncation(1.0, target) == 1
+        assert choose_truncation(1.0, np.nextafter(target, 0.0)) == 2
+
+    def test_target_equal_to_a_tail_returns_its_order(self):
+        # the float estimate lands on K or K + 1; either way the tail at K
+        # itself meets the target
+        for gamma in (0.3, 0.7, 2.0):
+            for order in range(1, 300):
+                assert choose_truncation(gamma, _envelope_tail(gamma, order)) == order
 
     def test_closed_form_inversion(self):
-        # smallest K with 2/(3e-6 * K^3) <= 1: ceil((2/3e-6)^(1/3)) = 88
-        assert choose_truncation(1.0, 1e-6, 1.0) == 88
+        # smallest K with 52/(3e-6 * K^3) <= 1: 258^3 < 5.2e7/3 <= 259^3
+        assert 258**3 < 2 * C / (3 * Fraction(1e-6)) <= 259**3
+        assert smallest_order(1.0, 1e-6) == 259
+        assert choose_truncation(1.0, 1e-6) == 259
 
     def test_gamma_doubling_scaling(self):
-        k1 = choose_truncation(0.5, 1e-8, 1.0)
-        k2 = choose_truncation(1.0, 1e-8, 1.0)
-        assert k2 == int(np.ceil(k1 / 2 ** (1.0 / 3.0))) or abs(k2 - k1 / 2 ** (1 / 3)) <= 1
+        # the tail scales as 1/gamma^3, so halving gamma doubles K up to the
+        # ceiling: 1202 at gamma = 1 and 2403 = 2*1202 - 1 at gamma = 1/2
+        k1 = choose_truncation(0.5, 1e-8)
+        k2 = choose_truncation(1.0, 1e-8)
+        assert (k1, k2) == (smallest_order(0.5, 1e-8), smallest_order(1.0, 1e-8)) == (2403, 1202)
+        assert k1 in (2 * k2 - 1, 2 * k2)
 
     def test_result_is_minimal(self):
-        for gamma, target, c in [(0.3, 1e-5, 7.0), (1.7, 1e-3, 0.2)]:
-            k = choose_truncation(gamma, target, c)
-            assert 2 * c / (3 * gamma * k**3) <= target
+        for gamma, target in [(0.3, 1e-5), (1.7, 1e-3), (0.1, 1.0)]:
+            k = choose_truncation(gamma, target)
+            assert exact_tail(gamma, k) <= Fraction(target)
             if k > 1:
-                assert 2 * c / (3 * gamma * (k - 1) ** 3) > target
+                assert exact_tail(gamma, k - 1) > Fraction(target)
+        assert [choose_truncation(g, t) for g, t in [(0.3, 1e-5), (1.7, 1e-3), (0.1, 1.0)]] == [
+            401, 16, 26]
 
     def test_default_constant_covers_measurements(self):
         # the built-in envelope constant must upper-bound measured decay
@@ -163,6 +234,66 @@ class TestChooseTruncation:
             lc = laurent_coefficients(gamma, 2048)
             assert lc.c_emp * gamma**2 <= ENVELOPE_CONSTANT
 
+    def test_envelope_constant_bounds_the_supremum(self):
+        # ENVELOPE_CONSTANT >= sup_s s^3 |X(s)| for X = kernel_transform(1, .),
+        # on three ranges that cover s >= 0
+        # [0, 2]: X transforms a nonnegative unit-mass kernel, so |X| <= 1
+        s = np.linspace(0.0, 2.0, 2001)
+        assert np.all(np.abs(kernel_transform(1.0, s)) <= 1.0 + 1e-15)
+        assert 2.0**3 * 1.0 <= ENVELOPE_CONSTANT
+        # [2, 9]: s^3 X(s) = 105 cos/s - 630 sin/s^2 - 1575 cos/s^3 + 1575 sin/s^4
+        # has |derivative| <= lip(2), the termwise bound below, which falls in s;
+        # between grid points h apart it moves at most lip(2) * h/2
+        lip = lambda s: (105 * (1 / s + 1 / s**2) + 630 * (1 / s**2 + 2 / s**3)
+                         + 1575 * (1 / s**3 + 3 / s**4) + 1575 * (1 / s**4 + 4 / s**5))
+        h = 5e-4
+        s = np.linspace(2.0, 9.0, round(7.0 / h) + 1)
+        peak = float(np.max(s**3 * np.abs(kernel_transform(1.0, s))))
+        assert 25.38 < peak < 25.39
+        assert peak + lip(2.0) * h / 2 + 1e-12 <= ENVELOPE_CONSTANT
+        # [9, inf): s^3 |X(s)| <= 105/s + 630/s^2 + 1575/s^3 + 1575/s^4, falling in s
+        at9 = Fraction(105, 9) + Fraction(630, 81) + Fraction(1575, 729) + Fraction(1575, 6561)
+        assert at9 < 22 <= ENVELOPE_CONSTANT
+
+
+class TestTruncationCap:
+    def test_cap_admits_every_documented_order(self):
+        # the largest order a test or the docs use: gamma = 5e-4 at 1e-6
+        assert choose_truncation(5e-4, 1e-6) == 517_596 <= MAX_TRUNCATION_ORDER
+
+    def test_order_past_the_cap_raises(self):
+        # the uncapped search returned K ~ 5e20 after half a second
+        with pytest.raises(PreconditionError, match=r"truncation order ~5\.2e20"):
+            choose_truncation(0.5, 1e-60)
+        with pytest.raises(PreconditionError, match="truncation order"):
+            choose_truncation(0.5, 1e-20)
+
+    def test_cap_is_exact(self):
+        target = _envelope_tail(0.5, MAX_TRUNCATION_ORDER)
+        assert choose_truncation(0.5, target) == MAX_TRUNCATION_ORDER
+        with pytest.raises(PreconditionError):
+            choose_truncation(0.5, np.nextafter(target, 0.0))
+
+    @pytest.mark.parametrize("gamma, target", [
+        (0.5, 5e-324),  # overflowed the first estimate's ceil
+        (1e-9, 1e-6),
+        (1e-200, 1e-6),  # gamma^2 underflows to 0
+        (1e-200, 1e300),
+    ])
+    def test_extreme_inputs_raise_the_precondition(self, gamma, target):
+        with pytest.raises(PreconditionError, match="truncation order"):
+            choose_truncation(gamma, target)
+
+    @pytest.mark.parametrize("gamma, target", [
+        (0.0, 1e-6), (-1.0, 1e-6), (float("nan"), 1e-6), (np.pi, 1e-6), (float("inf"), 1e-6),
+        (1e200, 1e-6), (0.5, 0.0), (0.5, -1.0), (0.5, float("nan")),
+    ])
+    def test_rejects_bad_parameters(self, gamma, target):
+        with pytest.raises(InvalidInputError):
+            choose_truncation(gamma, target)
+
+    def test_infinite_target_needs_one_term(self):
+        assert choose_truncation(0.5, float("inf")) == 1
 
 
 class TestCertifiedTruncation:
