@@ -61,10 +61,9 @@ def _cmd_log(args) -> int:
     if args.coeffs is not None:
         k = np.arange(-lc.trunc_order, lc.trunc_order + 1)
         envelope = np.abs(lc.coeffs) * lc.gamma * np.abs(k) ** 4.0
+        rows = zip(k.tolist(), lc.coeffs.real.tolist(), lc.coeffs.imag.tolist(), envelope.tolist())
         with open(args.coeffs, "w", encoding="ascii") as fh:
-            fh.write("k,re,im,envelope\n")
-            for kk, c, e in zip(k, lc.coeffs, envelope):
-                fh.write(f"{kk},{c.real:.17g},{c.imag:.17g},{e:.17g}\n")
+            fh.write("k,re,im,envelope\n" + "".join(map("%d,%.17g,%.17g,%.17g\n".__mod__, rows)))
     _print_kv(
         {
             "n": u.n,

@@ -18,6 +18,7 @@ that basis and the two real diagonals, never as dense matrices.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -74,6 +75,13 @@ def _off(w, mask: np.ndarray) -> float:
     return float(np.sum(np.abs(w[0][mask]) ** 2) + np.sum(np.abs(w[1][mask]) ** 2))
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_planes(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only rows p, columns q and flat indices p*n + q of the planes p < q."""
+    p, q = np.triu_indices(n, 1)
+    return tuple(_frozen(index, np.intp) for index in (p, q, p * n + q))
+
+
 def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All-pairs first-order generator X and the weights D of its model.
 
@@ -83,15 +91,17 @@ def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.nd
     x_pq = -(Da*a_pq + Db*b_pq)/D with D = Da^2 + Db^2 minimizes that
     linear model: the numerator is the gradient of off scaled by the
     positive weight 1/D, so X is a descent direction, and the model
-    predicts the decrease sum D |x_pq|^2. A tied plane (D = 0) gets
-    x_pq = 0; a near tie, where the linear model fails, is capped at
-    |x_pq| <= 1 by a positive scaling that keeps both properties. X is
-    built from its upper triangle, so X = -X^H exactly.
+    predicts the decrease 2 sum_{p<q} D |x_pq|^2. A tied plane (D = 0)
+    gets x_pq = 0; a near tie, where the linear model fails, is capped at
+    |x_pq| <= 1 by a positive scaling that keeps both properties. D, a
+    vector, and x_pq are computed on the planes p < q only; X = -X^H.
     """
-    da, db = (np.subtract.outer(w.diagonal().real, w.diagonal().real) for w in (wa, wb))
+    p, q, k = _upper_planes(wa.shape[0])
+    da, db = (w.diagonal().real[p] - w.diagonal().real[q] for w in (wa, wb))
     d = da**2 + db**2
-    x = np.triu(-(da * wa + db * wb) / np.where(d > 0, d, 1.0), 1)
-    x /= np.maximum(np.abs(x), 1.0)
+    xu = -(da * wa.take(k) + db * wb.take(k)) / np.where(d > 0, d, 1.0)
+    x = np.zeros_like(wa)
+    x.put(k, xu / np.maximum(np.abs(xu), 1.0))
     return x - x.conj().T, d
 
 
@@ -131,6 +141,7 @@ def nearest_commuting_pair(a, b, max_sweeps: int = 100) -> CommutingHermitianPai
     w = basis.conj().T @ np.stack((ma, mb)) @ basis
     eye = np.eye(n)
     mask = ~np.eye(n, dtype=bool)
+    upper = _upper_planes(n)[2]
     scale = float(np.sum(np.abs(ma) ** 2) + np.sum(np.abs(mb) ** 2))
     floor = 1e-30 * max(scale, 1.0)
 
@@ -139,7 +150,7 @@ def nearest_commuting_pair(a, b, max_sweeps: int = 100) -> CommutingHermitianPai
     while not converged and len(history) <= max_sweeps:
         prev = history[-1]
         x, d = _newton_generator(*w)
-        if float(np.sum(d * np.abs(x) ** 2)) <= _REL_IMPROVEMENT_TOL * prev:
+        if 2.0 * float(np.sum(d * np.abs(x.take(upper)) ** 2)) <= _REL_IMPROVEMENT_TOL * prev:
             converged = True
             break
         for _ in range(_MAX_HALVINGS):

@@ -169,8 +169,13 @@ def gated_norm(e: np.ndarray, tol: float) -> float:
     every `not d <= tol` check, as the operator norm, which is NaN or
     undefined there, would.
     """
-    f = _frobenius(e) * (1.0 + (e.size + 5) * np.finfo(float).eps)
+    f = _frobenius_bound(e)
     return _spectral_norm(e) if f > tol else f
+
+
+def _frobenius_bound(e: np.ndarray) -> float:
+    """|E|_F raised by a bound on its rounding error, so it stays above the exact |E|_F."""
+    return _frobenius(e) * (1.0 + (e.size + 5) * np.finfo(float).eps)
 
 
 def _frobenius(e: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from .jointdiag import check_max_sweeps, nearest_commuting_pair
 from .linalg import (
     COMMUTE_TOL,
     UnitaryMatrix,
-    _frobenius,
+    _frobenius_bound,
     as_square_array,
     certified_unitary,
     commutator,
@@ -189,10 +189,9 @@ def _log_norm_bound(log: SeriesLog, basis: np.ndarray) -> float:
     cost is one Z^H Z product and O(n^2) work; no decomposition.
     """
     n = basis.shape[0]
-    eps = np.finfo(float).eps
-    u = eps / 2.0
+    u = np.finfo(float).eps / 2.0
     g = math.sqrt(2.0) * 2 * n * u / (1.0 - 2 * n * u)
-    f = _frobenius(basis.conj().T @ basis - np.eye(n)) * (1.0 + (n * n + 5) * eps)
+    f = _frobenius_bound(basis.conj().T @ basis - np.eye(n))
     eta = (f + n * g) / (1.0 - n * g)
     return float(np.max(np.abs(log.values))) * (1.0 + eta) * (1.0 + 4.0 * (n + 2) * n * u)
 

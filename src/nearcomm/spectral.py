@@ -11,16 +11,18 @@ eigendecomposition of H yields an orthonormal eigenbasis of U. |H| is
 cot(d/2) for the distance d from psi to the nearest eigenangle, which
 sets how well that basis is resolved. The largest gap has half-width
 h >= pi/n, so a probe at its center gives |H| <= cot(h/2) <=
-cot(pi/(2n)) ~ 2n/pi; a probe is kept only while d >= h/2, so
-|H| < 4n/pi on every eigenbasis returned. A certified bound on the
-basis's reconstruction residual certifies it. Gap discovery works on the
-sorted eigenangles; centering rotates them by a scalar phase so the widest
-empty arc straddles angle 0, and hands on the rotated eigensystem rather
-than the rotated matrix.
+cot(pi/(2n)) ~ 2n/pi. A probe is kept when its rounded-up Frobenius
+norm certifies |H| <= cot(pi/(4n)), or, at a gap center, while
+d >= h/2, which gives the same bound; so |H| < 4n/pi on every eigenbasis
+returned. A certified bound on the basis's reconstruction residual
+certifies it. Gap discovery works on the sorted eigenangles; centering
+rotates them by a scalar phase so the widest empty arc straddles angle
+0, and hands on the rotated eigensystem rather than the rotated matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,7 @@ from .linalg import (
     MODULUS_TOL,
     UNITARITY_TOL,
     UnitaryMatrix,
+    _frobenius_bound,
     _frozen,
     gated_norm,
     unitary_from_angles,
@@ -37,8 +40,9 @@ from .linalg import (
 
 TWO_PI = 2.0 * np.pi
 
-# the first Cayley probe, and the step to the next one when a probe sits on
-# an eigenvalue (the golden angle, so repeated steps never revisit a probe)
+# the first Cayley probe when the trace is too small to point away from the
+# spectrum, and the step to the next one when a probe sits on an eigenvalue
+# (the golden angle, so repeated steps never revisit a probe)
 _FIRST_PROBE = 1.0
 _PROBE_STEP = np.pi * (3.0 - np.sqrt(5.0))
 # Cayley transforms tried before unitary_eigensystem gives up
@@ -107,14 +111,18 @@ def _cayley(a: np.ndarray, psi: float) -> np.ndarray | None:
 def unitary_eigensystem(u) -> Eigensystem:
     """Eigenangles and orthonormal eigenbasis of a unitary matrix.
 
-    Two probes of the Cayley transform H(psi) in the module docstring:
-    eigvalsh of H at _FIRST_PROBE gives rough angles
-    psi + 2 atan2(1, -lambda) and so the largest gap; eigh of H at that
-    gap's center gives the basis Z, and the angles are read off the
-    Rayleigh quotients diag(Z^H U Z). A probe on an eigenvalue (singular
-    solve) is stepped along; a second probe nearer the measured angles than
-    half the largest gap's half-width is repeated at the measured gap
-    center; after _MAX_PROBES transforms NumericalError is raised.
+    The Cayley transform H(psi) of the module docstring is first taken at
+    psi = arg(-tr U), opposite the mean eigenvalue, or at _FIRST_PROBE when
+    |tr U| <= n^2 eps is rounding. If the rounded-up |H|_F certifies
+    |H| <= cot(pi/(4n)), eigh of this H gives the basis Z. Otherwise
+    eigvalsh of H gives rough angles psi + 2 atan2(1, -lambda) and so the
+    largest gap, and eigh of H at its center gives Z; a probe there nearer
+    the measured angles than half the largest gap's half-width is repeated
+    at the measured gap center. The angles are the Rayleigh quotients
+    diag(Z^H U Z). A probe on an eigenvalue (singular solve), or so near
+    one that |H|_F > pi/(16 n^2 eps), where eigvalsh's rounding n eps |H|
+    could move a rough angle by pi/(8n), is stepped along; after
+    _MAX_PROBES transforms NumericalError is raised.
 
     A UnitaryMatrix is trusted; a plain array is checked by
     UnitaryMatrix.from_array. The Rayleigh quotients must lie within
@@ -130,13 +138,17 @@ def unitary_eigensystem(u) -> Eigensystem:
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix.from_array(u)
     a, n = u.mat, u.n
-    tol = UNITARITY_TOL * n
-    psi, rough = _FIRST_PROBE, True
+    tol, eps = UNITARITY_TOL * n, np.finfo(float).eps
+    trace = complex(np.trace(a))
+    psi, rough = (float(np.angle(-trace)) if abs(trace) > n * n * eps else _FIRST_PROBE), True
+    certify, blur = 1.0 / np.tan(np.pi / (4 * n)), np.pi / (16 * n * n * eps)
     for _ in range(_MAX_PROBES):
         h = _cayley(a, psi)
-        if h is None:
+        f = _frobenius_bound(h) if rough and h is not None else 0.0
+        if h is None or f > blur:
             psi, rough = psi + _PROBE_STEP, True
             continue
+        certified, rough = rough and f <= certify, rough and f > certify
         try:
             lam, z = (np.linalg.eigvalsh(h), None) if rough else np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
@@ -153,10 +165,11 @@ def unitary_eigensystem(u) -> Eigensystem:
                 f"eigenvalue modulus deviates from 1 by {worst:.3e}; input is not numerically unitary"
             )
         angles = np.mod(np.angle(rq), TWO_PI)
-        gap = largest_gap(angles)
-        if np.min(np.abs(wrap_to_pi(angles - psi))) < gap.half_width / 2.0:
-            psi = gap.center
-            continue
+        if not certified:
+            gap = largest_gap(angles)
+            if np.min(np.abs(wrap_to_pi(angles - psi))) < gap.half_width / 2.0:
+                psi = gap.center
+                continue
         order = np.argsort(angles, kind="stable")
         angles, z = angles[order], z[:, order]
         resid = gated_norm(unitary_from_angles(z, angles) - a, tol)
@@ -170,20 +183,22 @@ def unitary_eigensystem(u) -> Eigensystem:
 def largest_gap(angles) -> GapInfo:
     """Widest empty open arc between consecutive eigenangles in [0, 2pi).
 
-    The angles may come in any order; they are sorted first. Arc j runs
-    from the j-th sorted angle to the next, the last one wrapping
-    through 2pi. Ties between equally long arcs are broken by the smallest
-    center in [0, 2pi), then by the first arc, so the result is
+    The angles must be finite and may come in any order; they are sorted
+    first. Arc j runs from the j-th sorted angle to the next, the last one
+    wrapping through 2pi. Ties between equally long arcs are broken by the
+    smallest center in [0, 2pi), then by the first arc, so the result is
     deterministic. A single eigenvalue leaves one arc of length exactly
     2pi; the half-width is capped at pi.
     """
     angles = np.sort(np.asarray(angles, dtype=float))
     n = len(angles)
-    if n < 1:
-        raise InvalidInputError("eigensystem has no angles")
-    lengths = np.diff(angles, append=angles[0] + TWO_PI) if n > 1 else np.array([TWO_PI])
+    if n < 1 or not (math.isfinite(angles[0]) and math.isfinite(angles[-1])):
+        raise InvalidInputError("eigensystem needs at least one angle, all finite")
+    ends = np.concatenate((angles[1:], angles[:1] + TWO_PI))
+    lengths = ends - angles if n > 1 else np.array([TWO_PI])
     centers = np.mod(angles + lengths / 2.0, TWO_PI)
-    j = int(np.lexsort((centers, -lengths))[0])
+    ties = np.flatnonzero(lengths == lengths.max())
+    j = int(ties[np.argmin(centers[ties])])
     return GapInfo(
         center=float(centers[j]),
         half_width=float(min(lengths[j] / 2.0, np.pi)),

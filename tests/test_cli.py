@@ -71,6 +71,30 @@ def test_log_coefficient_dump(tmp_path, capsys):
     assert float(mid[1]) == pytest.approx(np.pi, abs=1e-10)
 
 
+def reference_coefficient_dump(lc) -> bytes:
+    """The --coeffs CSV written one f-string row at a time: the reference for the CLI's."""
+    k = np.arange(-lc.trunc_order, lc.trunc_order + 1)
+    envelope = np.abs(lc.coeffs) * lc.gamma * np.abs(k) ** 4.0
+    text = "k,re,im,envelope\n"
+    for kk, c, e in zip(k, lc.coeffs, envelope):
+        text += f"{kk},{c.real:.17g},{c.imag:.17g},{e:.17g}\n"
+    return text.encode("ascii")
+
+
+@pytest.mark.parametrize("gamma", ["0.5", "0.05"])
+def test_log_coefficient_dump_bytes_match_row_by_row_writer(tmp_path, capsys, gamma):
+    u_path, coeffs_path = tmp_path / "u.mtxc", tmp_path / "coeffs.csv"
+    main(["generate", "gapped", "--n", "4", "--delta", "1.2", "--seed", "2",
+          "--out", str(u_path)])
+    capsys.readouterr()
+    assert main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc"), "--gamma", gamma,
+                 "--target", "1e-3", "--coeffs", str(coeffs_path)]) == EXIT_OK
+    kv = parse_kv(capsys.readouterr().out)
+    lc = nearcomm.laurent_coefficients(float(kv["gamma"]), int(kv["trunc_order"]))
+    assert lc.trunc_order < 2000
+    assert coeffs_path.read_bytes() == reference_coefficient_dump(lc)
+
+
 def test_pair_produces_commuting_files(tmp_path, capsys):
     u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
     main(["generate", "pair", "--n", "6", "--delta", "1.0", "--eps", "0.001",

@@ -21,6 +21,7 @@ from nearcomm import (
     gen_almost_commuting_pair,
     gen_gapped_unitary,
     gen_voiculescu_pair,
+    haar_unitary,
     jointdiag,
     laurent_coefficients,
     linalg,
@@ -30,6 +31,7 @@ from nearcomm import (
     operator_norm,
     pipeline,
     spectral,
+    stream_rng,
 )
 from nearcomm.gapped_log import LaurentCoefficients, certified_truncation
 from nearcomm.pipeline import log_commutator_bound
@@ -318,9 +320,68 @@ class TestPhaseCovariance:
         assert turned.dist_u == pytest.approx(res.dist_u, rel=0, abs=tol)
         assert turned.dist_v == pytest.approx(res.dist_v, rel=0, abs=tol)
 
+
+class TestSymmetries:
+    """A unitary change of basis, and swapping U with V, act on the outputs alike."""
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 16),
+        eps=st.sampled_from([1e-1, 1e-3, 0.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_change_of_basis_passes_through(self, n, eps, seed):
+        # the trace is basis-invariant, so the probes are too, and the
+        # JD's iterates move with W up to column phases
+        u, v, _ = gen_almost_commuting_pair(n, 1.0, eps, seed)
+        w = haar_unitary(n, stream_rng(seed, 1))
+        res = near_commuting_unitaries(u, v)
+        turned = near_commuting_unitaries(w @ u.mat @ w.conj().T, w @ v.mat @ w.conj().T)
+        tol = 1e-10 * n
+        assert np.max(np.abs(turned.x.mat - w @ res.x.mat @ w.conj().T)) <= tol
+        assert np.max(np.abs(turned.y.mat - w @ res.y.mat @ w.conj().T)) <= tol
+        assert turned.dist_u == pytest.approx(res.dist_u, rel=0, abs=tol)
+        assert turned.dist_v == pytest.approx(res.dist_v, rel=0, abs=tol)
+        # at eps = 0 off starts at rounding level, where one sweep more or
+        # less is a rounding decision against the JD's floor
+        assert abs(turned.sweeps - res.sweeps) <= (1 if eps == 0.0 else 0)
+
+    @PROPERTY
+    @given(
+        n=st.integers(1, 16),
+        eps=st.sampled_from([1e-2, 1e-3, 1e-4, 0.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_swap_exchanges_the_outputs(self, n, eps, seed):
+        # the JD warm-starts from A + phi*B, not B + phi*A, and stops once a
+        # sweep lowers off (~eps^2) by at most _REL_IMPROVEMENT_TOL of it;
+        # so each run resolves its basis to ~sqrt(_REL_IMPROVEMENT_TOL)*eps
+        u, v, _ = gen_almost_commuting_pair(n, 1.0, eps, seed)
+        res, swapped = near_commuting_unitaries(u, v), near_commuting_unitaries(v, u)
+        tol = np.sqrt(jointdiag._REL_IMPROVEMENT_TOL) * eps + 1e-10 * n
+        assert np.max(np.abs(swapped.x.mat - res.y.mat)) <= tol
+        assert np.max(np.abs(swapped.y.mat - res.x.mat)) <= tol
+        assert swapped.dist_u == pytest.approx(res.dist_v, rel=0, abs=tol)
+        assert swapped.dist_v == pytest.approx(res.dist_u, rel=0, abs=tol)
+
+
 class TestDecompositionCounts:
-    """Each input is decomposed once, by one eigvalsh and one eigh of a
-    Cayley transform; the logs and the outputs reuse the bases."""
+    """Each input is decomposed once, by one eigh of a Cayley transform when
+    its Frobenius norm passes the precheck; the logs and the outputs reuse
+    the bases."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        """np.linalg.solve calls as (calling module, shape): Cayley transforms and JD steps."""
+        calls = []
+        original = np.linalg.solve
+
+        def counting(a, b):
+            calls.append((sys._getframe(1).f_globals["__name__"], a.shape))
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        return calls
 
     def test_pair_measures_only_the_outputs_unitarity(self, defect_calls):
         # typed inputs are trusted and the centered form is an eigensystem,
@@ -352,19 +413,39 @@ class TestDecompositionCounts:
         assert calls == [(8,)] * 2
 
     def test_pair_decomposes_each_input_once(self, schur_calls, eigvalsh_calls,
-                                             norm_kernel_calls):
-        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+                                             norm_kernel_calls, solve_calls):
+        # both inputs' first Cayley transforms pass the Frobenius precheck
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 4)
         schur_calls.clear()
         eigvalsh_calls.clear()
         norm_kernel_calls.clear()
-        near_commuting_unitaries(u, v)
+        solve_calls.clear()
+        res = near_commuting_unitaries(u, v)
         assert schur_calls == []
-        # one probe eigvalsh per input; each other eigvalsh is one operator
-        # norm's Gram matrix: eps, the log commutator, dist_a and dist_b,
-        # two exponential distances, dist_u and dist_v, two output defects
-        # and comm_after
+        # no probe eigvalsh: each eigvalsh is one operator norm's Gram
+        # matrix: eps, the log commutator, dist_a and dist_b, two
+        # exponential distances, dist_u and dist_v, two output defects and
+        # comm_after
         assert norm_kernel_calls == [(8, 8)] * 11
-        assert eigvalsh_calls == [(8, 8)] * (2 + 11)
+        assert eigvalsh_calls == [(8, 8)] * 11
+        # one Cayley transform per input; every other solve is a JD step
+        spectral_solves = [call for call in solve_calls if call[0] == "nearcomm.spectral"]
+        assert spectral_solves == [("nearcomm.spectral", (8, 8))] * 2
+        assert len(solve_calls) - 2 >= res.sweeps
+
+    def test_failed_precheck_adds_one_eigvalsh_and_one_solve(self, eigvalsh_calls, eigh_calls,
+                                                             solve_calls):
+        # U's trace probe lies 0.11 from an eigenvalue: |H|_F = 18.4 is
+        # above cot(pi/32) = 10.2, so U takes the two-probe path; V does not
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+        eigvalsh_calls.clear()
+        eigh_calls.clear()
+        solve_calls.clear()
+        near_commuting_unitaries(u, v)
+        assert eigvalsh_calls == [(8, 8)] * (1 + 11)
+        assert eigh_calls == [(8, 8)] * 3
+        spectral_solves = [call for call in solve_calls if call[0] == "nearcomm.spectral"]
+        assert spectral_solves == [("nearcomm.spectral", (8, 8))] * 3
 
     def test_pair_takes_no_svd(self, svd_calls):
         np.linalg.norm(np.eye(2), 2)
@@ -388,14 +469,17 @@ class TestDecompositionCounts:
         assert eigh_calls == [(8, 8)] * 3
 
     def test_cli_log_decomposes_once(self, schur_calls, eigvalsh_calls, eigh_calls,
-                                     tmp_path, capsys):
+                                     solve_calls, tmp_path, capsys):
+        # the input's first Cayley transform passes the Frobenius precheck
         u_path = tmp_path / "u.mtxc"
         mtxc.write(u_path, gen_gapped_unitary(8, 1.0, 3).mat)
         eigvalsh_calls.clear()
         eigh_calls.clear()
+        solve_calls.clear()
         assert cli.main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc")]) == cli.EXIT_OK
-        assert schur_calls == []
-        assert eigvalsh_calls == eigh_calls == [(8, 8)]
+        assert schur_calls == eigvalsh_calls == []
+        assert eigh_calls == [(8, 8)]
+        assert solve_calls == [("nearcomm.spectral", (8, 8))]
 
     def test_gapped_log_on_centered_input_decomposes_nothing(
         self, schur_calls, eigvalsh_calls, eigh_calls

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nearcomm import (
@@ -132,8 +132,24 @@ class TestAgainstSchur:
         assert operator_norm(gram - np.eye(n)) <= 1e-13 * n
 
 
+def with_spectrum(angles, q):
+    """Q diag(e^{i*angles}) Q^H."""
+    return (q * np.exp(1j * np.asarray(angles))) @ q.conj().T
+
+
+def real_rotation(thetas, seed):
+    """A real orthogonal matrix with eigenvalues e^{+-i*theta}, rotated by a real Q.
+
+    Its trace is real, so its trace probe arg(-tr U) is exactly 0 or +-pi.
+    """
+    blocks = [[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]] for t in thetas]
+    r = scipy.linalg.block_diag(*blocks)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal(r.shape))
+    return q @ r @ q.T
+
+
 class TestCayleyProbes:
-    """Probes on or near eigenvalues, degenerate spectra and the retry cap."""
+    """The trace probe, its Frobenius precheck, the two-probe path and the retry cap."""
 
     def probe_log(self, monkeypatch):
         """Each Cayley transform's probe angle and whether it failed."""
@@ -148,29 +164,71 @@ class TestCayleyProbes:
         return log
 
     def test_eigenvalue_on_first_probe(self, monkeypatch):
+        # eigenvalues pi +- 1e-9 and a positive real trace put the first
+        # probe, arg(-tr U), at +-pi, 1e-9 from the spectrum: |H| ~ 2e9 fails
+        # the precheck, so the rough eigvalsh locates the gap and a second
+        # probe decomposes H
         log = self.probe_log(monkeypatch)
-        q = haar_unitary(5, stream_rng(3))
-        angles = np.array([spectral._FIRST_PROBE, 0.5, 2.0, 4.0, 5.5])
-        m = (q * np.exp(1j * angles)) @ q.conj().T
+        rough, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(h):
+            rough.append(h.shape)
+            return eigvalsh(h)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        thetas = [np.pi - 1e-9, 0.3, 1.0]
+        m = real_rotation(thetas, 1)
+        assert np.trace(m) > 0
         es = unitary_eigensystem(m)
-        assert np.allclose(es.angles, np.sort(angles), atol=1e-13)
-        assert len(log) == 2
+        expected = np.sort(np.mod(np.concatenate([thetas, np.negative(thetas)]), TWO_PI))
+        assert np.allclose(es.angles, expected, atol=1e-12)
+        assert abs(wrap_to_pi(log[0][0] - np.pi)) == 0.0
+        assert len(log) == 2 and not any(failed for _, failed in log)
+        assert rough == [(6, 6)]
 
     @pytest.mark.parametrize("n", [1, 4])
-    def test_scalar_at_first_probe(self, n):
-        es = unitary_eigensystem(np.exp(1j * spectral._FIRST_PROBE) * np.eye(n))
-        assert np.allclose(es.angles, spectral._FIRST_PROBE, atol=1e-15)
-        gap = largest_gap(es.angles)
-        assert gap.half_width == pytest.approx(np.pi)
+    def test_scalar_at_first_probe(self, monkeypatch, n):
+        # the trace probe sits opposite a scalar's one eigenvalue, where H = 0
+        log = self.probe_log(monkeypatch)
+        alpha = spectral._FIRST_PROBE
+        es = unitary_eigensystem(np.exp(1j * alpha) * np.eye(n))
+        assert np.allclose(es.angles, alpha, atol=1e-15)
+        assert largest_gap(es.angles).half_width == pytest.approx(np.pi)
+        assert len(log) == 1 and abs(wrap_to_pi(log[0][0] - alpha - np.pi)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_zero_trace_falls_back_to_first_probe(self, monkeypatch, n):
+        # the clock matrix's trace, a sum of all n-th roots of unity, is
+        # rounding; it points nowhere, so the first probe is _FIRST_PROBE
+        log = self.probe_log(monkeypatch)
+        clock = gen_voiculescu_pair(n)[0].mat
+        assert abs(np.trace(clock)) <= n * n * np.finfo(float).eps
+        es = unitary_eigensystem(clock)
+        assert log[0] == (spectral._FIRST_PROBE, False)
+        assert np.allclose(es.angles, TWO_PI * np.arange(n) / n, atol=1e-13)
+
+    def test_blurred_trace_probe_steps_on(self, monkeypatch):
+        # e^{i*phi} = -s/|s| for s the sum of the other eigenvalues leaves
+        # arg(-tr U) = phi: the trace probe sits on an eigenvalue to rounding,
+        # where |H| ~ 1e16 would drown the rough angles, so it steps on
+        log = self.probe_log(monkeypatch)
+        others = np.array([1.0, 4.115716121068162, 4.434309144863481, 0.12775061023698714])
+        phi = float(np.angle(-np.sum(np.exp(1j * others))))
+        m = with_spectrum(np.append(others, phi), haar_unitary(5, stream_rng(5)))
+        es = unitary_eigensystem(m)
+        assert abs(wrap_to_pi(log[0][0] - phi)) <= 1e-14
+        assert log[1][0] == pytest.approx(log[0][0] + spectral._PROBE_STEP, abs=1e-15)
+        assert np.allclose(es.angles, np.sort(np.mod(np.append(others, phi), TWO_PI)), atol=1e-13)
 
     def test_singular_probe_steps_on(self, monkeypatch):
-        # with the first probe at 0, I + W = I - U is exactly singular for U = I
-        monkeypatch.setattr(spectral, "_FIRST_PROBE", 0.0)
+        # -tr diag(1, -1, -1) = 1 puts the trace probe at 0, on the eigenvalue
+        # 1, where I + W = I - U is exactly singular
         log = self.probe_log(monkeypatch)
-        es = unitary_eigensystem(np.diag([1.0, 1j, -1.0]))
-        assert np.allclose(es.angles, [0.0, np.pi / 2, np.pi], atol=1e-15)
+        es = unitary_eigensystem(np.diag([1.0, -1.0, -1.0]))
+        assert np.allclose(es.angles, [0.0, np.pi, np.pi], atol=1e-15)
         assert log[0] == (0.0, True)
-        assert [failed for _, failed in log[1:]] == [False, False]
+        assert log[1][0] == pytest.approx(spectral._PROBE_STEP, abs=1e-15)
+        assert [failed for _, failed in log[1:]] == [False]
 
     def test_repeated_eigenvalues(self):
         q = haar_unitary(6, stream_rng(2))
@@ -182,20 +240,22 @@ class TestCayleyProbes:
         assert operator_norm(es.basis.conj().T @ es.basis - np.eye(6)) <= 1e-13
 
     def test_off_center_second_probe_is_repeated(self, monkeypatch):
-        # rough angles all at the first probe put the second probe opposite
-        # it, 1e-3 from an eigenvalue; the measured angles move it to their
-        # gap center, (2.0 + psi0 + pi + 1e-3)/2
+        # with the precheck failing, rough angles all at the trace probe put
+        # the second probe opposite it, 1e-3 from an eigenvalue; the measured
+        # angles move it to their gap center. A positive real trace puts the
+        # trace probe at +-pi, so the second probe is at 0, between the
+        # eigenvalues +-1e-3, and the measured gap is centered at pi.
         log = self.probe_log(monkeypatch)
+        # above the precheck's cot(pi/16) ~ 5, below the blur bound ~ 5e13
+        monkeypatch.setattr(spectral, "_frobenius_bound", lambda h: 1e6)
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda h: np.full(h.shape[0], -1e300))
-        opposite = spectral._FIRST_PROBE + np.pi
-        angles = np.array([0.3, 2.0, opposite + 1e-3, 5.5])
-        q = haar_unitary(4, stream_rng(8))
-        m = (q * np.exp(1j * angles)) @ q.conj().T
+        m = real_rotation([1e-3, 2.0], 8)
+        assert np.trace(m) > 0
         es = unitary_eigensystem(m)
-        assert np.allclose(es.angles, angles, atol=1e-13)
-        assert [psi for psi, _ in log[1:]] == pytest.approx(
-            [opposite, (2.0 + opposite + 1e-3) / 2], abs=1e-12
-        )
+        assert np.allclose(es.angles, [1e-3, 2.0, TWO_PI - 2.0, TWO_PI - 1e-3], atol=1e-13)
+        probes = np.array([psi for psi, _ in log])
+        assert len(probes) == 3
+        assert np.max(np.abs(wrap_to_pi(probes - [np.pi, 0.0, np.pi]))) <= 1e-12
 
     def test_eigh_failure_is_numerical_error(self, monkeypatch):
         def failing(h):
@@ -218,6 +278,53 @@ class TestCayleyProbes:
         assert len(calls) == spectral._MAX_PROBES
 
 
+@st.composite
+def probe_spectra(draw):
+    """Eigenangles: spread, clustered, repeated, or with one within 1e-9 of arg(-tr U)."""
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["spread", "clustered", "repeated", "near_probe"]))
+    angle = st.floats(0.0, TWO_PI, exclude_max=True)
+    if kind == "clustered":
+        center, width = draw(angle), draw(st.sampled_from([1e-12, 1e-6, 1e-2]))
+        return [center + width * draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    if kind == "repeated":
+        values = draw(st.lists(angle, min_size=1, max_size=3))
+        return [draw(st.sampled_from(values)) for _ in range(n)]
+    angles = draw(st.lists(angle, min_size=n, max_size=n))
+    s = np.sum(np.exp(1j * np.array(angles[1:])))
+    if kind == "near_probe" and abs(s) > 1:
+        # e^{i*phi} = -s/|s| leaves tr U = s (1 - 1/|s|), so arg(-tr U) = phi
+        angles[0] = float(np.angle(-s)) + draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-9]))
+    return angles
+
+
+class TestProbeConditioning:
+    """Every transform decomposed for a basis has |H| <= cot(pi/(4n)) < 4n/pi."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(probe_spectra(), st.integers(0, 2**16))
+    @example([1.0], 0)
+    @example([0.5, 0.5 + 1e-9], 1)
+    @example([2.0, 2.0, 2.0, 5.0], 2)
+    def test_every_decomposed_transform_is_conditioned(self, angles, seed):
+        n = len(angles)
+        norms, eigh = [], np.linalg.eigh
+
+        def recording(h):
+            lam, z = eigh(h)
+            norms.append(float(np.max(np.abs(lam))))
+            return lam, z
+
+        m = with_spectrum(angles, haar_unitary(n, stream_rng(seed)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", recording)
+            es = unitary_eigensystem(m)
+        assert norms and max(norms) <= 1.0 / np.tan(np.pi / (4 * n))
+        # each given angle is found, up to the wrap at 2pi
+        off = np.abs(wrap_to_pi(np.subtract.outer(np.asarray(angles), es.angles)))
+        assert np.max(np.min(off, axis=1)) <= 1e-10
+
+
 def loop_largest_gap(angles):
     """(center, half_width, lo, hi) arc by arc: the reference for largest_gap."""
     a = np.sort(np.asarray(angles, dtype=float))
@@ -230,6 +337,17 @@ def loop_largest_gap(angles):
         if best is None or (-length, center) < best[0]:
             best = ((-length, center), (center, float(min(length / 2.0, np.pi)), lo, hi))
     return best[1]
+
+
+def lexsort_largest_gap(angles):
+    """(center, half_width, lo, hi) picked by np.lexsort: the reference for the tie-break."""
+    a = np.sort(np.asarray(angles, dtype=float))
+    n = len(a)
+    lengths = np.diff(a, append=a[0] + TWO_PI) if n > 1 else np.array([TWO_PI])
+    centers = np.mod(a + lengths / 2.0, TWO_PI)
+    j = int(np.lexsort((centers, -lengths))[0])
+    half_width = float(min(lengths[j] / 2.0, np.pi))
+    return float(centers[j]), half_width, float(a[j]), float(a[(j + 1) % n])
 
 
 class TestLargestGap:
@@ -248,6 +366,31 @@ class TestLargestGap:
                 angles = np.mod(TWO_PI * np.arange(n) / n + offset, TWO_PI)
             gap = largest_gap(angles)
             assert (gap.center, gap.half_width, gap.lo, gap.hi) == loop_largest_gap(angles)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, TWO_PI, exclude_max=True),
+                st.floats(0.0, 6.2).map(lambda x: round(x, 1)),
+                st.sampled_from([0.0, np.pi / 2, np.pi, 3 * np.pi / 2]),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
+        st.integers(0, 15),
+    )
+    def test_equals_lexsort_reference(self, angles, clock):
+        # random, rounded and quarter-turn angles tie often; clock spectra tie everywhere
+        if clock:
+            angles = list(np.mod(TWO_PI * np.arange(clock) / clock + angles[0], TWO_PI))
+        gap = largest_gap(angles)
+        assert (gap.center, gap.half_width, gap.lo, gap.hi) == lexsort_largest_gap(angles)
+
+    @pytest.mark.parametrize("angles", [[], [0.5, np.nan], [np.inf], [-np.inf, 1.0]])
+    def test_rejects_empty_or_non_finite(self, angles):
+        with pytest.raises(InvalidInputError, match="finite"):
+            largest_gap(angles)
 
     def test_two_opposite_eigenvalues_tiebreak(self):
         # arcs (pi/2, 3pi/2) and (3pi/2, pi/2 + 2pi) both have length pi;
