@@ -36,9 +36,8 @@ _WARM_START_WEIGHT = 2.0**0.5 - 1.0
 # below rounding, so the iteration stops there instead of halving on
 _MAX_HALVINGS = 8
 
-# relative-improvement stop: the iteration is converged when a sweep lowers
-# off by at most this fraction of its value, or when the step's predicted
-# decrease is that small before it is taken
+# relative-improvement stop: the iteration is converged when the next
+# step's predicted decrease of off is at most this fraction of off
 _REL_IMPROVEMENT_TOL = 1e-12
 
 
@@ -124,9 +123,11 @@ def nearest_commuting_pair(a, b, max_sweeps: int = 100) -> CommutingHermitianPai
     times. A' and B' are the diagonal parts in the final basis, returned
     in factored form as Q and the two real diagonals; each distance is
     measured on Q diag(d) Q^H. For commuting inputs with simple spectrum
-    this reproduces the pair to rounding. If max_sweeps is exhausted while
-    the objective still improves, the result is flagged unconverged but
-    still commutes exactly.
+    this reproduces the pair to rounding. The iteration is converged when
+    off is at most 1e-30 times the inputs' squared Frobenius mass, when
+    the next step's predicted decrease is at most _REL_IMPROVEMENT_TOL
+    times off, or when no halving lowers off. If max_sweeps is exhausted
+    first, the result is flagged unconverged but still commutes exactly.
     """
     check_max_sweeps(max_sweeps)
     ma, mb = (
@@ -167,8 +168,7 @@ def nearest_commuting_pair(a, b, max_sweeps: int = 100) -> CommutingHermitianPai
         w = trial
         basis = basis @ g
         history.append(cur)
-        if cur <= floor or (prev - cur) <= _REL_IMPROVEMENT_TOL * max(prev, floor):
-            converged = True
+        converged = cur <= floor
 
     wa, wb = w
     diag_a = np.diag(wa).real

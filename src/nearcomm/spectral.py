@@ -11,13 +11,13 @@ eigendecomposition of H yields an orthonormal eigenbasis of U. |H| is
 cot(d/2) for the distance d from psi to the nearest eigenangle, which
 sets how well that basis is resolved. The largest gap has half-width
 h >= pi/n, so a probe at its center gives |H| <= cot(h/2) <=
-cot(pi/(2n)) ~ 2n/pi. A probe is kept when its rounded-up Frobenius
-norm certifies |H| <= cot(pi/(4n)), or, at a gap center, while
-d >= h/2, which gives the same bound; so |H| < 4n/pi on every eigenbasis
-returned. A certified bound on the basis's reconstruction residual
-certifies it. Gap discovery works on the sorted eigenangles; centering
-rotates them by a scalar phase so the widest empty arc straddles angle
-0, and hands on the rotated eigensystem rather than the rotated matrix.
+cot(pi/(2n)) ~ 2n/pi. A probe is kept only when |H| <= cot(pi/(4n)),
+certified by its rounded-up Frobenius norm or read off the eigenvalues
+of the H it decomposed, so |H| < 4n/pi on every eigenbasis returned. A
+certified bound on the basis's reconstruction residual certifies it.
+Gap discovery works on the sorted eigenangles; centering rotates them
+by a scalar phase so the widest empty arc straddles angle 0, and hands
+on the rotated eigensystem rather than the rotated matrix.
 """
 
 from __future__ import annotations
@@ -114,15 +114,17 @@ def unitary_eigensystem(u) -> Eigensystem:
     The Cayley transform H(psi) of the module docstring is first taken at
     psi = arg(-tr U), opposite the mean eigenvalue, or at _FIRST_PROBE when
     |tr U| <= n^2 eps is rounding. If the rounded-up |H|_F certifies
-    |H| <= cot(pi/(4n)), eigh of this H gives the basis Z. Otherwise
-    eigvalsh of H gives rough angles psi + 2 atan2(1, -lambda) and so the
-    largest gap, and eigh of H at its center gives Z; a probe there nearer
-    the measured angles than half the largest gap's half-width is repeated
-    at the measured gap center. The angles are the Rayleigh quotients
-    diag(Z^H U Z). A probe on an eigenvalue (singular solve), or so near
-    one that |H|_F > pi/(16 n^2 eps), where eigvalsh's rounding n eps |H|
-    could move a rough angle by pi/(8n), is stepped along; after
-    _MAX_PROBES transforms NumericalError is raised.
+    |H| <= cot(pi/(4n)), eigh of this H gives the basis Z and its
+    eigenvalues lambda; otherwise eigvalsh gives lambda alone. A probe is
+    kept when eigh gave lambda and max |lambda| <= cot(pi/(4n)); otherwise
+    the next probe is the center of the largest gap of the angles
+    psi + 2 atan2(1, -lambda), and is decomposed with eigh at once. The
+    angles are the Rayleigh quotients diag(Z^H U Z). A probe on an
+    eigenvalue (singular solve), or a first probe so near one that
+    |H|_F > pi/(16 n^2 eps), where eigvalsh's rounding n eps |H| could
+    move an angle by pi/(8n), is stepped along, and the stepped probe is
+    prechecked like the first; after _MAX_PROBES transforms NumericalError
+    is raised.
 
     A UnitaryMatrix is trusted; a plain array is checked by
     UnitaryMatrix.from_array. The Rayleigh quotients must lie within
@@ -130,10 +132,10 @@ def unitary_eigensystem(u) -> Eigensystem:
     |Z diag(e^{i*angles}) Z^H - U| must stay within
     UNITARITY_TOL * n; the eigensystem carries gated_norm of that
     difference, the certified bound the gate reads, as its residual.
-    When either check fails, UnitaryMatrix.from_array checks the input
-    before the failure is raised, since a trusted UnitaryMatrix may carry
-    a defect it does not have: a non-unitary input is rejected as invalid
-    rather than reported as a numerical failure.
+    When either check fails, or the probes run out, UnitaryMatrix.from_array
+    checks the input before the failure is raised, since a trusted
+    UnitaryMatrix may carry a defect it does not have: a non-unitary input
+    is rejected as invalid rather than reported as a numerical failure.
     """
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix.from_array(u)
@@ -148,14 +150,13 @@ def unitary_eigensystem(u) -> Eigensystem:
         if h is None or f > blur:
             psi, rough = psi + _PROBE_STEP, True
             continue
-        certified, rough = rough and f <= certify, rough and f > certify
         try:
-            lam, z = (np.linalg.eigvalsh(h), None) if rough else np.linalg.eigh(h)
+            lam, z = (np.linalg.eigvalsh(h), None) if f > certify else np.linalg.eigh(h)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed for {n}x{n} input: {exc}") from exc
-        if rough:
+        rough = False
+        if z is None or np.max(np.abs(lam)) > certify:
             psi = largest_gap(np.mod(psi + 2.0 * np.arctan2(1.0, -lam), TWO_PI)).center
-            rough = False
             continue
         rq = np.einsum("ij,ij->j", z.conj(), a @ z)
         worst = float(np.max(np.abs(np.abs(rq) - 1.0)))
@@ -165,11 +166,6 @@ def unitary_eigensystem(u) -> Eigensystem:
                 f"eigenvalue modulus deviates from 1 by {worst:.3e}; input is not numerically unitary"
             )
         angles = np.mod(np.angle(rq), TWO_PI)
-        if not certified:
-            gap = largest_gap(angles)
-            if np.min(np.abs(wrap_to_pi(angles - psi))) < gap.half_width / 2.0:
-                psi = gap.center
-                continue
         order = np.argsort(angles, kind="stable")
         angles, z = angles[order], z[:, order]
         resid = gated_norm(unitary_from_angles(z, angles) - a, tol)
@@ -177,6 +173,7 @@ def unitary_eigensystem(u) -> Eigensystem:
             UnitaryMatrix.from_array(a)
             raise NumericalError(f"eigensystem reconstruction residual {resid:.3e} too large")
         return Eigensystem(angles, z, resid)
+    UnitaryMatrix.from_array(a)
     raise NumericalError(f"no well-conditioned Cayley probe after {_MAX_PROBES} tries")
 
 

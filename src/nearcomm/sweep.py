@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensembles import check_ensemble_params, check_seed, gen_almost_commuting_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
-from .pipeline import PipelineOptions, near_commuting_unitaries
+from .pipeline import PipelineOptions, PipelineResult, near_commuting_unitaries
 
 
 @dataclass(frozen=True)
@@ -47,23 +47,25 @@ class ExperimentConfig:
         check_seed(self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialRecord:
+    """One sweep cell; a failed trial keeps the defaults: NaN, order 0, unconverged."""
+
     n: int
     seed: int
-    delta1: float
-    delta2: float
+    delta1: float = math.nan
+    delta2: float = math.nan
     eps_target: float
     eps_actual: float
-    log_comm: float
-    predicted_bound: float
-    herm_dist_a: float
-    herm_dist_b: float
-    dist_u: float
-    dist_v: float
-    comm_after: float
-    trunc_order: int
-    converged: bool
+    log_comm: float = math.nan
+    predicted_bound: float = math.nan
+    herm_dist_a: float = math.nan
+    herm_dist_b: float = math.nan
+    dist_u: float = math.nan
+    dist_v: float = math.nan
+    comm_after: float = math.nan
+    trunc_order: int = 0
+    converged: bool = False
 
 
 CSV_FIELDS = [f.name for f in fields(TrialRecord)]
@@ -109,6 +111,28 @@ class SweepSummary:
     slope: float
 
 
+def _trial_record(
+    config: ExperimentConfig, eps: float, eps_actual: float, res: PipelineResult | None
+) -> TrialRecord:
+    """The row of one (epsilon, trial) cell; a failed trial (res None) measures nothing."""
+    measured = {} if res is None else dict(
+        delta1=res.gap1.half_width,
+        delta2=res.gap2.half_width,
+        log_comm=res.bound.measured_log_comm,
+        predicted_bound=res.bound.predicted,
+        herm_dist_a=res.herm_dist_a,
+        herm_dist_b=res.herm_dist_b,
+        dist_u=res.dist_u,
+        dist_v=res.dist_v,
+        comm_after=res.comm_after,
+        trunc_order=max(res.trunc_order1, res.trunc_order2),
+        converged=res.converged,
+    )
+    return TrialRecord(
+        n=config.n, seed=config.seed, eps_target=eps, eps_actual=eps_actual, **measured
+    )
+
+
 def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     """All (epsilon, trial) cells through the pipeline, in deterministic order.
 
@@ -120,42 +144,15 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     records: list[TrialRecord] = []
     for i, eps in enumerate(config.epsilons):
         for t in range(config.trials):
-            eps_actual = float("nan")
+            eps_actual, res = math.nan, None
             try:
                 u, v, eps_actual = gen_almost_commuting_pair(
                     config.n, config.delta, eps, config.seed, i, t
                 )
                 res = near_commuting_unitaries(u, v, opts)
-                records.append(
-                    TrialRecord(
-                        n=config.n,
-                        seed=config.seed,
-                        delta1=res.gap1.half_width,
-                        delta2=res.gap2.half_width,
-                        eps_target=eps,
-                        eps_actual=eps_actual,
-                        log_comm=res.bound.measured_log_comm,
-                        predicted_bound=res.bound.predicted,
-                        herm_dist_a=res.herm_dist_a,
-                        herm_dist_b=res.herm_dist_b,
-                        dist_u=res.dist_u,
-                        dist_v=res.dist_v,
-                        comm_after=res.comm_after,
-                        trunc_order=max(res.trunc_order1, res.trunc_order2),
-                        converged=res.converged,
-                    )
-                )
             except (PreconditionError, InvalidInputError, NumericalError, np.linalg.LinAlgError):
-                nan = float("nan")
-                records.append(
-                    TrialRecord(
-                        n=config.n, seed=config.seed, delta1=nan, delta2=nan,
-                        eps_target=eps, eps_actual=eps_actual, log_comm=nan,
-                        predicted_bound=nan, herm_dist_a=nan, herm_dist_b=nan,
-                        dist_u=nan, dist_v=nan, comm_after=nan,
-                        trunc_order=0, converged=False,
-                    )
-                )
+                pass
+            records.append(_trial_record(config, eps, eps_actual, res))
     if config.out_path is not None:
         write_records(config.out_path, records, config)
     return records

@@ -175,6 +175,15 @@ def test_nan_defect_rejected_not_a_numerical_failure(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("header, reason", [("MTXC 1 x", "bad dimension in header"),
+                                            ("MTXC 1 0", "dimension must be positive")])
+def test_bad_dimension_in_header_rejected(tmp_path, capsys, header, reason):
+    bad = tmp_path / "bad.mtxc"
+    bad.write_text(header + "\n")
+    assert main(["gap", str(bad)]) == EXIT_REJECTED
+    assert capsys.readouterr().err.startswith(f"rejected: {reason}")
+
+
 def test_missing_file_rejected(tmp_path):
     assert main(["gap", str(tmp_path / "absent.mtxc")]) == EXIT_REJECTED
 
@@ -279,6 +288,16 @@ def test_sweep_non_finite_eps_rejected(tmp_path, capsys, eps_start, points):
     assert main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", eps_start,
                  "--eps-end", "0.01", "--points", points, "--trials", "1", "--seed", "1",
                  "--out", str(tmp_path / "sweep.csv")]) == EXIT_REJECTED
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_sweep_without_points_rejected(tmp_path, capsys, points):
+    # -1 would otherwise reach np.geomspace and fail there
+    assert main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0.1",
+                 "--eps-end", "0.01", "--points", points, "--trials", "1", "--seed", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == EXIT_REJECTED
+    assert "need at least one epsilon point" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

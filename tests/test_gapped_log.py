@@ -204,6 +204,12 @@ class TestChooseTruncation:
             for order in range(1, 300):
                 assert choose_truncation(gamma, _envelope_tail(gamma, order)) == order
 
+    def test_coefficient_tail_meets_target(self):
+        for gamma in (0.02, 0.1, 0.37, 1.0, 2.0, 3.1):
+            for target in (1e-3, 1e-6, 1e-8):
+                k = choose_truncation(gamma, target)
+                assert laurent_coefficients(gamma, k).tail <= target, (gamma, target)
+
     def test_closed_form_inversion(self):
         # smallest K with 52/(3e-6 * K^3) <= 1: 258^3 < 5.2e7/3 <= 259^3
         assert 258**3 < 2 * C / (3 * Fraction(1e-6)) <= 259**3
@@ -297,12 +303,9 @@ class TestTruncationCap:
 
 
 class TestCertifiedTruncation:
-    def test_first_estimate_certifies_target(self):
-        for gamma in (0.02, 0.1, 0.37, 1.0, 2.0, 3.1):
-            for target in (1e-3, 1e-6, 1e-8):
-                k = certified_truncation(gamma, target)
-                assert k == choose_truncation(gamma, target)
-                assert laurent_coefficients(gamma, k).tail <= target, (gamma, target)
+    def test_is_choose_truncation(self):
+        # an alias, bound under this name for the benchmark's tracer
+        assert certified_truncation is choose_truncation
 
 class TestGappedLog:
     def test_diagonal_example(self):

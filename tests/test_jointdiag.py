@@ -8,6 +8,7 @@ from nearcomm import (
     commutator,
     gapped_log,
     gen_almost_commuting_pair,
+    jointdiag,
     nearest_commuting_pair,
     operator_norm,
     haar_unitary,
@@ -203,6 +204,24 @@ class TestNearestCommutingPair:
         a, b = random_hermitian(8, rng), random_hermitian(8, rng)
         pair = nearest_commuting_pair(a, b)
         assert np.all(np.diff(pair.off_history) <= 0)
+
+    def test_no_halving_that_lowers_off_stops_converged(self, monkeypatch):
+        # every trial step reads a higher off: all _MAX_HALVINGS halvings fail,
+        # and the iteration stops converged in the warm-start basis
+        rng = np.random.default_rng(3)
+        a, b = random_hermitian(5, rng), random_hermitian(5, rng)
+        readings, real = [], jointdiag._off
+
+        def rising(w, mask):
+            readings.append(real(w, mask))
+            return readings[0] if len(readings) == 1 else 2.0 * readings[0] + 1.0
+
+        monkeypatch.setattr(jointdiag, "_off", rising)
+        pair = nearest_commuting_pair(a, b, max_sweeps=3)
+        assert pair.converged and pair.sweeps == 0
+        assert pair.off_history == (readings[0],)
+        assert np.all(np.diff(pair.off_history) <= 0)
+        assert len(readings) == 1 + jointdiag._MAX_HALVINGS
 
     @pytest.mark.parametrize("case", ["random-10", "series-logs-32"])
     def test_converged_basis_is_a_jacobi_fixed_point(self, case):

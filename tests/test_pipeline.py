@@ -1,7 +1,10 @@
 """End-to-end pipeline behavior and the commutator bound report."""
 
+import dataclasses
 import importlib
+import importlib.util
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +38,7 @@ from nearcomm import (
 )
 from nearcomm.gapped_log import LaurentCoefficients, certified_truncation
 from nearcomm.pipeline import log_commutator_bound
-from nearcomm.spectral import center_gap
+from nearcomm.spectral import Eigensystem, center_gap
 
 # the package re-exports the function gapped_log under its module's name
 gapped_log_module = importlib.import_module("nearcomm.gapped_log")
@@ -227,6 +230,55 @@ class TestNearCommutingUnitaries:
         flat = res.flat()
         for key in ("dist_u", "dist_v", "comm_after", "predicted_bound", "trunc_order1"):
             assert key in flat
+
+
+class TestPipelineGates:
+    """Each numerical gate fires, with its own message, on a bound understated to it."""
+
+    @staticmethod
+    def pair():
+        return gen_almost_commuting_pair(6, 1.0, 1e-3, 23)[:2]
+
+    def test_log_commutator_gate(self, monkeypatch, tmp_path, capsys):
+        u, v = self.pair()
+        real = pipeline.log_commutator_bound
+        monkeypatch.setattr(pipeline, "log_commutator_bound",
+                            lambda *args: dataclasses.replace(real(*args), predicted=0.0))
+        with pytest.raises(NumericalError, match="log commutator .* exceeds predicted bound"):
+            near_commuting_unitaries(u, v)
+        u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
+        mtxc.write(u_path, u.mat)
+        mtxc.write(v_path, v.mat)
+        code = cli.main(["pair", str(u_path), str(v_path), "--out-x", str(tmp_path / "x.mtxc"),
+                         "--out-y", str(tmp_path / "y.mtxc")])
+        assert code == cli.EXIT_NUMERICAL
+        assert "exceeds predicted bound" in capsys.readouterr().err
+        assert not (tmp_path / "x.mtxc").exists()
+
+    def test_lipschitz_gate(self, monkeypatch):
+        real = pipeline.nearest_commuting_pair
+        monkeypatch.setattr(pipeline, "nearest_commuting_pair",
+                            lambda *args: dataclasses.replace(real(*args), dist_a=0.0))
+        with pytest.raises(NumericalError, match="Lipschitz bound"):
+            near_commuting_unitaries(*self.pair())
+
+    @pytest.mark.parametrize("which, name", [(0, "X"), (1, "Y")])
+    def test_distance_gate(self, monkeypatch, which, name):
+        # U's (which 0) or V's eigensystem with every angle moved by 0.05: its
+        # recorded residual understates the real one by ~0.05, and the
+        # spectrum stays clear of the smoothing band around angle 0
+        real, calls = pipeline.center_gap, []
+
+        def shifted(u):
+            es, zeta, gap = real(u)
+            if len(calls) == which:
+                es = Eigensystem(es.angles + 0.05, es.basis, es.residual)
+            calls.append(u)
+            return es, zeta, gap
+
+        monkeypatch.setattr(pipeline, "center_gap", shifted)
+        with pytest.raises(NumericalError, match=f"distance to {name} exceeds"):
+            near_commuting_unitaries(*self.pair())
 
 
 def _counting(monkeypatch, owner, name):
@@ -539,6 +591,18 @@ class TestHardFamily:
         assert res.converged or res.sweeps == opts.max_sweeps
 
 
+def _load_tracing():
+    """The benchmark's tracer module, loaded from perfbench/tracing.py as it stands."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+
 class TestTracedSurface:
     """The names the benchmark's tracer wraps and the result fields it reads."""
 
@@ -546,15 +610,16 @@ class TestTracedSurface:
         assert pipeline.nearest_commuting_pair is jointdiag.nearest_commuting_pair
 
     @pytest.mark.parametrize(
-        "module, name",
-        [(pipeline, name) for name in ("center_gap", "certified_truncation", "gapped_log",
-                                       "nearest_commuting_pair", "herm_exp", "commutator")]
-        + [(cli, name) for name in ("center_gap", "certified_truncation", "gapped_log")]
-        + [(gapped_log_module, name) for name in ("unitary_eigensystem", "laurent_coefficients")]
-        + [(spectral, "unitary_eigensystem"), (mtxc, "read"), (mtxc, "write")],
+        "module, name", [(owner, attr) for owner, attr, _, _ in tracing._targets()]
     )
     def test_traced_names_are_bound(self, module, name):
-        assert callable(getattr(module, name, None))
+        # every name the tracer reads is bound, wrapped while it is installed
+        # and restored when it exits
+        original = getattr(module, name, None)
+        assert callable(original)
+        with tracing.Tracer().installed():
+            assert getattr(module, name) is not original
+        assert getattr(module, name) is original
 
     def test_pair_result_exposes_basis_sweeps_converged(self):
         pair = nearest_commuting_pair(np.diag([1.0, 2.0, 3.0]), np.eye(3))

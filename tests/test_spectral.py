@@ -82,6 +82,13 @@ class TestEigensystem:
         with pytest.raises(InvalidInputError, match="unitarity defect"):
             unitary_eigensystem(UnitaryMatrix(large, 0.0))
 
+    def test_residual_gate_on_a_unitary_is_a_numerical_failure(self, monkeypatch):
+        # the input passes UnitaryMatrix.from_array, so a residual read above
+        # the tolerance is the decomposition's failure, not the input's
+        monkeypatch.setattr(spectral, "gated_norm", lambda m, tol: 2.0 * tol)
+        with pytest.raises(NumericalError, match="reconstruction residual"):
+            unitary_eigensystem(haar_unitary(6, stream_rng(4)))
+
     def test_modulus_check_behind_loose_tolerance(self):
         # at n = 256 the defect gate (2.56e-6) passes an eigenvalue of modulus
         # 1 + 1.2e-6 (defect 2.4e-6); the radial-projection guard (1e-6) fires

@@ -37,6 +37,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             small_config(epsilons=(eps,))
 
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidInputError, match="epsilons must be non-empty"):
+            small_config(epsilons=())
+
     def test_zero_allowed(self):
         cfg = small_config(epsilons=(1e-2, 0.0))
         assert cfg.epsilons[-1] == 0.0
