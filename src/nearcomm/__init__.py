@@ -2,10 +2,11 @@
 
 Given two unitary matrices that nearly commute and whose spectra each
 leave an empty arc on the unit circle, the pipeline produces an exactly
-commuting unitary pair nearby: it centers each gap at angle 0, takes a
-smoothed Fourier-series matrix logarithm with a certified truncation tail,
-replaces the two Hermitian logs by the nearest commuting pair found by
-joint approximate diagonalization, and exponentiates back.
+commuting unitary pair nearby: it centers each gap at angle 0, takes each
+matrix logarithm exactly on the centered eigensystem (a smoothed Fourier
+series equal to it there certifies the commutator bound), replaces the two
+Hermitian logs by the nearest commuting pair found by joint approximate
+diagonalization, and exponentiates back.
 
 The package root exports the entry points the acceptance suite imports,
 the error types, PipelineOptions and PipelineResult; every other name is

@@ -104,9 +104,13 @@ class LaurentCoefficients:
         return complex(self.coeffs[self.trunc_order + k])
 
     def weighted_sum(self) -> float:
-        """sum_k |k| * |c_k|, the series' commutator amplification factor."""
+        """Bound on sum_all k |k| |c_k|, the series' commutator amplification factor.
+
+        The sum over |k| <= K plus the envelope's remainder
+        sum_{|k|>K} |k| C/(gamma^3 k^4) <= C/(gamma^3 K^2) = 1.5 K tail.
+        """
         k = np.arange(-self.trunc_order, self.trunc_order + 1)
-        return float(np.sum(np.abs(k) * np.abs(self.coeffs)))
+        return float(np.sum(np.abs(k) * np.abs(self.coeffs))) + 1.5 * self.trunc_order * self.tail
 
     def evaluate(self, theta) -> np.ndarray:
         """g_K(theta) = pi + 2 Re sum_{k=1..K} c_k e^{ik*theta}, elementwise.
@@ -190,35 +194,18 @@ def choose_truncation(gamma: float, target: float) -> int:
 certified_truncation = choose_truncation
 
 
-@dataclass(frozen=True)
-class SeriesLog(HermitianMatrix):
-    """H = Z diag(values) Z^H, with values = g_K(theta) on the eigensystem (Z, theta).
-
-    values[j] is H's eigenvalue on column j of the basis gapped_log summed
-    on, so exp(iH) can be formed on that basis without summing the series
-    again.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "values", _frozen(self.values, np.float64))
-
-
 def gapped_log(
     u,
     gamma: float,
     trunc_order: int,
     series_target: float = 1e-6,
-) -> tuple[SeriesLog, LaurentCoefficients]:
+) -> tuple[HermitianMatrix, LaurentCoefficients]:
     """Hermitian H = g_K(U) = sum_{|k|<=K} c_k U^k, K = trunc_order, with exp(iH) = U.
 
     Requires the spectrum of U to stay more than gamma away from angle 0
     (gap centered there) and the certified tail to meet series_target.
     g_K is summed on the eigenangles: M = Z diag(g_K(theta)) Z^H is made
-    exactly Hermitian as hermitian_part does, H = (M + M^H)/2 with defect
-    0, and H is returned with the values g_K(theta) it was summed from.
+    exactly Hermitian by hermitian_part, H = (M + M^H)/2 with defect 0.
     An Eigensystem, such as the one center_gap returns, is used as given;
     any other input is decomposed here. H is thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
     weighted_sum() * r of the series in U for any r >= |U~ - U|, such as
@@ -239,9 +226,7 @@ def gapped_log(
             tail=lc.tail,
             target=series_target,
         )
-    values = lc.evaluate(es.angles)
-    m = (es.basis * values) @ es.basis.conj().T
-    return SeriesLog((m + m.conj().T) / 2.0, 0.0, values), lc
+    return hermitian_part((es.basis * lc.evaluate(es.angles)) @ es.basis.conj().T), lc
 
 
 def direct_log(u) -> HermitianMatrix:

@@ -1,11 +1,11 @@
 """End-to-end construction of a commuting unitary pair near an almost-commuting one.
 
-Steps: center each input's spectral gap at angle 0, take the smoothed
-series logarithm of each, replace the two logs by the nearest commuting
-Hermitian pair, and exponentiate with the phases restored, on the
-eigenbases those steps already computed. Every inequality used along the
-way (commutator amplification of the series, Lipschitz bound of the
-exponential, truncation slack) is measured and checked on each run.
+Steps: center each input's spectral gap at angle 0, take the log of each
+exactly on its centered eigensystem, replace the two logs by the nearest
+commuting Hermitian pair, and exponentiate with the phases restored, on
+the eigenbases those steps already computed. Every inequality used along
+the way (commutator amplification of the smoothed series, Lipschitz bound
+of the exponential, residual slack) is measured and checked on each run.
 """
 
 from __future__ import annotations
@@ -16,21 +16,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
-from .gapped_log import LaurentCoefficients, SeriesLog, certified_truncation, gapped_log
+from .gapped_log import LaurentCoefficients, certified_truncation, laurent_coefficients
 from .jointdiag import check_max_sweeps, nearest_commuting_pair
 from .linalg import (
     COMMUTE_TOL,
+    HermitianMatrix,
     UnitaryMatrix,
     _frobenius_bound,
     as_square_array,
     certified_unitary,
     commutator,
+    hermitian_part,
     operator_norm,
     unitary_from_angles,
 )
-# not called here: bound only because perfbench's tracer looks up pipeline.herm_exp
+# not called here: bound only because perfbench's tracer looks up these two names
+from .gapped_log import gapped_log  # noqa: F401
 from .linalg import herm_exp  # noqa: F401
-from .spectral import GapInfo, center_gap
+from .spectral import Eigensystem, GapInfo, center_gap, wrap_to_pi
 
 
 @dataclass(frozen=True)
@@ -55,10 +58,10 @@ DEFAULT_OPTIONS = PipelineOptions()
 class BoundReport:
     """Commutator amplification of the two log series.
 
-    alpha_emp is the product of the truncated sums sum_k |k||c_k| of each
-    coefficient set; the commutator of the logs is bounded by
-    epsilon * alpha_emp up to truncation slack. alpha_normalized rescales
-    by delta1*delta2, the gap-free form of the same constant.
+    alpha_emp = W_u*W_v is the product of each coefficient set's full sum
+    W = sum_k |k||c_k| (LaurentCoefficients.weighted_sum); the commutator of
+    the logs is bounded by epsilon * alpha_emp up to residual slack.
+    alpha_normalized rescales by delta1*delta2, the gap-free form of the same constant.
     """
 
     epsilon: float
@@ -72,7 +75,11 @@ class BoundReport:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Commuting pair (x, y) with every measured distance and bound."""
+    """Commuting pair (x, y) with every measured distance and bound.
+
+    tail1, tail2 bound each coefficient set's remainder past trunc_order1,
+    trunc_order2; they enter only W's certified remainder, not the logs.
+    """
 
     x: UnitaryMatrix
     y: UnitaryMatrix
@@ -160,12 +167,12 @@ def log_commutator_bound(
     )
 
 
-def _log_norm_bound(log: SeriesLog, basis: np.ndarray) -> float:
-    """Certified upper bound on |H| for the series log H that gapped_log summed on basis Z.
+def _log_norm_bound(values: np.ndarray, basis: np.ndarray) -> float:
+    """Certified upper bound on |H| for the log H that _centered_log formed on basis Z.
 
-    gapped_log computes M = fl(fl(Z diag(v)) Z^H), v = log.values, and
-    H = fl((M + M^H)/2). With G = Z^H Z, eta >= |G - I|, m = max |v_j| and
-    u the unit roundoff:
+    _centered_log computes M = fl(fl(Z diag(v)) Z^H) from the centered
+    eigenangles v = values and H = fl((M + M^H)/2). With G = Z^H Z,
+    eta >= |G - I|, m = max |v_j| and u the unit roundoff:
 
     - exactly, |Z diag(v) Z^H| <= m |Z|^2 = m |G| <= m (1 + eta);
     - each entry of the product is a complex inner product of length n
@@ -193,7 +200,17 @@ def _log_norm_bound(log: SeriesLog, basis: np.ndarray) -> float:
     g = math.sqrt(2.0) * 2 * n * u / (1.0 - 2 * n * u)
     f = _frobenius_bound(basis.conj().T @ basis - np.eye(n))
     eta = (f + n * g) / (1.0 - n * g)
-    return float(np.max(np.abs(log.values))) * (1.0 + eta) * (1.0 + 4.0 * (n + 2) * n * u)
+    return float(np.max(np.abs(values))) * (1.0 + eta) * (1.0 + 4.0 * (n + 2) * n * u)
+
+
+def _centered_log(es: Eigensystem, target: float) -> tuple[HermitianMatrix, LaurentCoefficients]:
+    """H = Z diag(theta) Z^H and the coefficients at gamma = min |theta|, which certify it.
+
+    gamma is kept below pi, which a scalar's theta = pi reaches.
+    """
+    gamma = min(float(np.min(np.abs(wrap_to_pi(es.angles)))), math.nextafter(math.pi, 0))
+    coeffs = laurent_coefficients(gamma, certified_truncation(gamma, target))
+    return hermitian_part((es.basis * es.angles) @ es.basis.conj().T), coeffs
 
 
 def near_commuting_unitaries(
@@ -206,34 +223,35 @@ def near_commuting_unitaries(
     the result carries all measured distances and the bound report.
 
     center_gap returns the eigensystem (Z, Theta) of the centered input
-    U_c = e^{-i*zeta1} U; U_c itself is never formed. The log H_u = g_K(U~)
-    is summed on it, so it is a function of the reconstruction
-    U~ = Z e^{i*Theta} Z^H, not of U_c; r_u >= |U~ - U_c| is the certified
-    bound on that residual which the eigensystem carries, es_u.residual
-    below (within sqrt(n) of the exact norm). The joint diagonalization
-    returns the common basis Q and the diagonals a, b of A' and B'. No
-    matrix is decomposed again and no series is summed again: the outputs
-    are X = Q diag(e^{i(a + zeta1)}) Q^H = e^{i*zeta1} exp(iA') and Y likewise,
-    and the Lipschitz check compares X with
-    e^{i*zeta1} exp(iH_u) = Z diag(e^{i(g_K(Theta) + zeta1)}) Z^H, from the
-    values g_K(Theta) that gapped_log returns with H_u. The checks on the
-    way account for r_u:
+    U_c = e^{-i*zeta1} U; U_c itself is never formed. The smoothed sawtooth
+    g(theta) = sum_all c_k e^{ik*theta} equals theta on [gamma, 2pi - gamma]
+    (its bump is symmetric with unit mass), and a function of a normal
+    matrix is that function on its eigenvalues, so for
+    gamma_u <= min_j |theta_j| the log H_u = Z diag(Theta) Z^H is g(U~),
+    the full series in the reconstruction U~ = Z e^{i*Theta} Z^H, not in
+    U_c; r_u >= |U~ - U_c| is the certified bound on that residual which
+    the eigensystem carries, es_u.residual below. The coefficients enter
+    only through W_u = sum_all |k||c_k| (LaurentCoefficients.weighted_sum).
+    The joint diagonalization returns the common basis Q and the diagonals
+    a, b of A' and B'. No matrix is decomposed again and no series is
+    summed: X = Q diag(e^{i(a + zeta1)}) Q^H = e^{i*zeta1} exp(iA') and Y
+    likewise, and the Lipschitz check compares X with
+    e^{i*zeta1} exp(iH_u) = Z diag(e^{i(Theta + zeta1)}) Z^H. The checks on
+    the way account for r_u:
 
     - Log commutator. |U~^k - U_c^k| <= |k| r_u, so H_u = P_u + D_u with
-      P_u the series in U_c itself and |D_u| <= e_u = tail_u +
-      weighted_sum_u*r_u (the tail term is kept as margin). Then
+      P_u = g(U_c) and |D_u| <= e_u = W_u*r_u. Then
           |[H_u, H_v]| <= |[P_u, P_v]| + |[D_u, H_v]| + |[P_u, D_v]|
                        <= eps*alpha + 2 e_u |H_v| + 2 e_v (|H_u| + e_u).
       |H_u| and |H_v| enter this slack through _log_norm_bound, an upper
-      bound read off the values g_K(Theta) on the carried basis Z: the
-      largest |g_K(theta_j)| raised by Z's measured departure from
-      orthonormality and by the rounding of the product that formed H_u.
-    - Distance, measured against U itself. On the spectrum
-      |e^{i g_K(theta)} - e^{i theta}| <= tail_u, so |exp(iH_u) - U~| <=
-      tail_u, and a scalar phase changes no norm:
+      bound read off the angles on the carried basis Z: the largest
+      |theta_j| raised by Z's measured departure from orthonormality and
+      by the rounding of the product that formed H_u.
+    - Distance, measured against U itself. exp(iH_u) = U~, and a scalar
+      phase changes no norm:
           |X - U| = |exp(iA') - U_c|
-                  <= |exp(iA') - exp(iH_u)| + |exp(iH_u) - U~| + |U~ - U_c|
-                  <= |A' - H_u| + tail_u + r_u.
+                  <= |exp(iA') - exp(iH_u)| + |U~ - U_c|
+                  <= |A' - H_u| + r_u.
     - Output unitarity and commutation. Each output's defect is measured
       once, and |[X, Y]| once; either above its tolerance raises
       NumericalError. Q has gathered every sweep's Cayley factor, so [X, Y]
@@ -254,21 +272,17 @@ def near_commuting_unitaries(
             min_gap=opts.min_gap,
         )
 
-    gamma1 = gap1.half_width / 2.0
-    gamma2 = gap2.half_width / 2.0
-    k1 = certified_truncation(gamma1, opts.series_target)
-    k2 = certified_truncation(gamma2, opts.series_target)
-    log_u, coeffs_u = gapped_log(es_u, gamma1, k1, opts.series_target)
-    log_v, coeffs_v = gapped_log(es_v, gamma2, k2, opts.series_target)
+    log_u, coeffs_u = _centered_log(es_u, opts.series_target)
+    log_v, coeffs_v = _centered_log(es_v, opts.series_target)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
     bound = log_commutator_bound(
         coeffs_u, coeffs_v, eps, gap1.half_width, gap2.half_width, measured_log_comm
     )
-    err_u = coeffs_u.tail + coeffs_u.weighted_sum() * es_u.residual
-    err_v = coeffs_v.tail + coeffs_v.weighted_sum() * es_v.residual
-    norm_u = _log_norm_bound(log_u, es_u.basis)
-    norm_v = _log_norm_bound(log_v, es_v.basis)
+    err_u = coeffs_u.weighted_sum() * es_u.residual
+    err_v = coeffs_v.weighted_sum() * es_v.residual
+    norm_u = _log_norm_bound(es_u.angles, es_u.basis)
+    norm_v = _log_norm_bound(es_v.angles, es_v.basis)
     slack = 2.0 * (err_u * norm_v + err_v * (norm_u + err_u))
     if measured_log_comm > bound.predicted + slack + 1e-12 * n:
         raise NumericalError(
@@ -277,24 +291,22 @@ def near_commuting_unitaries(
         )
 
     pair = nearest_commuting_pair(log_u, log_v, opts.max_sweeps)
-    herm_dist_a = pair.dist_a
-    herm_dist_b = pair.dist_b
 
     x_mat = unitary_from_angles(pair.basis, pair.diag_a + zeta1)
     y_mat = unitary_from_angles(pair.basis, pair.diag_b + zeta2)
-    ref_u = unitary_from_angles(es_u.basis, log_u.values + zeta1)
-    ref_v = unitary_from_angles(es_v.basis, log_v.values + zeta2)
+    ref_u = unitary_from_angles(es_u.basis, es_u.angles + zeta1)
+    ref_v = unitary_from_angles(es_v.basis, es_v.angles + zeta2)
     exp_dist_a = operator_norm(x_mat - ref_u)
     exp_dist_b = operator_norm(y_mat - ref_v)
-    if exp_dist_a > herm_dist_a + 1e-10 * n or exp_dist_b > herm_dist_b + 1e-10 * n:
+    if exp_dist_a > pair.dist_a + 1e-10 * n or exp_dist_b > pair.dist_b + 1e-10 * n:
         raise NumericalError("exponentiation exceeded its Lipschitz bound")
 
     dist_u = operator_norm(x_mat - a_u)
     dist_v = operator_norm(y_mat - a_v)
-    if dist_u > herm_dist_a + coeffs_u.tail + es_u.residual + 1e-10 * n:
-        raise NumericalError("distance to X exceeds log distance plus tail and residual slack")
-    if dist_v > herm_dist_b + coeffs_v.tail + es_v.residual + 1e-10 * n:
-        raise NumericalError("distance to Y exceeds log distance plus tail and residual slack")
+    if dist_u > pair.dist_a + es_u.residual + 1e-10 * n:
+        raise NumericalError("distance to X exceeds log distance plus residual slack")
+    if dist_v > pair.dist_b + es_v.residual + 1e-10 * n:
+        raise NumericalError("distance to Y exceeds log distance plus residual slack")
 
     x = certified_unitary(x_mat, "output X")
     y = certified_unitary(y_mat, "output Y")
@@ -312,18 +324,18 @@ def near_commuting_unitaries(
         comm_before=eps,
         comm_after=comm_after,
         bound=bound,
-        herm_dist_a=herm_dist_a,
-        herm_dist_b=herm_dist_b,
+        herm_dist_a=pair.dist_a,
+        herm_dist_b=pair.dist_b,
         exp_dist_a=exp_dist_a,
         exp_dist_b=exp_dist_b,
         zeta1=zeta1,
         zeta2=zeta2,
         gap1=gap1,
         gap2=gap2,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        trunc_order1=k1,
-        trunc_order2=k2,
+        gamma1=coeffs_u.gamma,
+        gamma2=coeffs_v.gamma,
+        trunc_order1=coeffs_u.trunc_order,
+        trunc_order2=coeffs_v.trunc_order,
         tail1=coeffs_u.tail,
         tail2=coeffs_v.tail,
         converged=pair.converged,

@@ -291,6 +291,15 @@ def test_sweep_non_finite_eps_rejected(tmp_path, capsys, eps_start, points):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_zero_endpoint_rejected(tmp_path, capsys):
+    # np.geomspace would otherwise raise a ValueError on the zero endpoint
+    assert main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0",
+                 "--eps-end", "0.01", "--points", "3", "--trials", "1", "--seed", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == EXIT_REJECTED
+    assert "positive finite endpoints" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("points", ["0", "-1"])
 def test_sweep_without_points_rejected(tmp_path, capsys, points):
     # -1 would otherwise reach np.geomspace and fail there

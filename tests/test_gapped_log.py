@@ -126,6 +126,17 @@ class TestSmoothedCoefficients:
         with pytest.raises(InvalidInputError, match="truncation order"):
             laurent_coefficients(0.5, bad)
 
+    @pytest.mark.parametrize("gamma", [0.0, np.pi, float("nan")])
+    def test_rejects_gamma_outside_open_interval(self, gamma):
+        with pytest.raises(InvalidInputError, match=r"gamma must lie in \(0, pi\)"):
+            laurent_coefficients(gamma, 10)
+
+    def test_coefficient_beyond_the_order_rejected(self):
+        lc = laurent_coefficients(0.5, 10)
+        for k in (11, -11):
+            with pytest.raises(InvalidInputError, match="beyond truncation order 10"):
+                lc.coefficient(k)
+
     def test_accepts_numpy_integer_order(self):
         lc = laurent_coefficients(0.5, np.int64(10))
         assert lc.trunc_order == 10 and lc.coeffs.shape == (21,)
@@ -151,6 +162,20 @@ class TestSmoothedCoefficients:
         remainder = 2.0 * np.sum(np.abs(kernel_transform(gamma, k)) / k)
         beyond = float(exact_tail(gamma, m))
         assert laurent_coefficients(gamma, order).tail >= remainder + beyond
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.1])
+    @pytest.mark.parametrize("order", [1, 5, 100])
+    def test_weighted_sum_bounds_the_whole_series(self, gamma, order):
+        # sum_{|k| <= M} |k||c_k| summed directly, plus the envelope's
+        # C/(gamma^3 M^2) beyond M, against the bound taken at order K
+        m = order + 20_000
+        k = np.arange(1, m + 1)
+        full = 2.0 * np.sum(np.abs(kernel_transform(gamma, k))) + float(C) / (gamma**3 * m**2)
+        lc = laurent_coefficients(gamma, order)
+        assert lc.weighted_sum() >= full
+        k = np.arange(-order, order + 1)
+        assert lc.weighted_sum() == pytest.approx(
+            np.sum(np.abs(k) * np.abs(lc.coeffs)) + 1.5 * order * lc.tail, rel=1e-14)
 
     def test_order_above_the_cap_rejected_before_allocating(self):
         # 10^12 orders would take 96 TB; the check comes first
@@ -336,18 +361,8 @@ class TestGappedLog:
         for m in (h, oracle):
             assert m.defect == 0.0 == hermiticity_defect(m.mat)
 
-    def test_returns_the_values_it_summed(self):
-        es, _, gap = center_gap(gen_gapped_unitary(12, 0.7, 5))
-        gamma = gap.half_width / 2
-        h, lc = gapped_log(es, gamma, choose_truncation(gamma, 1e-6))
-        assert np.array_equal(h.values, lc.evaluate(es.angles))
-        assert not h.values.flags.writeable
-        expected = (es.basis * h.values) @ es.basis.conj().T
-        assert np.array_equal(h.mat, (expected + expected.conj().T) / 2.0)
-
     def test_builds_its_log_once(self, monkeypatch):
-        # one copy, finiteness scan and Frobenius check per log, not a
-        # HermitianMatrix and then a SeriesLog
+        # one copy, finiteness scan and Frobenius check per log
         es, _, gap = center_gap(gen_gapped_unitary(12, 0.7, 5))
         gamma = gap.half_width / 2
         built = []
@@ -359,7 +374,7 @@ class TestGappedLog:
 
         monkeypatch.setattr(HermitianMatrix, "__post_init__", counting)
         gapped_log(es, gamma, choose_truncation(gamma, 1e-6))
-        assert built == ["SeriesLog"]
+        assert built == ["HermitianMatrix"]
 
     def test_spectrum_in_branch_window(self):
         es, _, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))

@@ -227,7 +227,8 @@ class TestNearestCommutingPair:
     def test_converged_basis_is_a_jacobi_fixed_point(self, case):
         # oracle independent of visiting order: at a converged basis the
         # optimal rotation of every plane is the identity; the stop rule
-        # (relative gain <= 1e-12 per sweep) leaves |s| of order 1e-6
+        # (the next step's predicted decrease of off at most 1e-12 of off)
+        # leaves |s| of order 1e-6
         if case == "random-10":
             rng = np.random.default_rng(6)
             a, b = random_hermitian(10, rng), random_hermitian(10, rng)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nearcomm import InvalidInputError, commutator, haar_unitary, operator_norm, stream_rng
+from nearcomm import (
+    InvalidInputError,
+    NumericalError,
+    commutator,
+    haar_unitary,
+    operator_norm,
+    stream_rng,
+)
 from nearcomm.linalg import (
     COMMUTE_TOL,
     HERMITICITY_TOL,
@@ -90,6 +97,10 @@ class TestOperatorNorm:
         with pytest.raises(InvalidInputError):
             operator_norm(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidInputError, match="positive dimension"):
+            as_square_array(np.zeros((0, 0)))
+
 
 class TestCommutator:
     def test_diagonals_commute(self):
@@ -145,6 +156,14 @@ class TestHermExp:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvalidInputError):
             herm_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_eigh_failure_is_numerical_error(self, monkeypatch):
+        def failing(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalError, match="eigendecomposition failed"):
+            herm_exp(np.diag([1.0, 2.0]))
 
     def test_typed_and_plain_inputs_agree(self):
         # a typed argument skips the hermiticity check, nothing else

@@ -36,7 +36,7 @@ from nearcomm import (
     spectral,
     stream_rng,
 )
-from nearcomm.gapped_log import LaurentCoefficients, certified_truncation
+from nearcomm.gapped_log import LaurentCoefficients
 from nearcomm.pipeline import log_commutator_bound
 from nearcomm.spectral import Eigensystem, center_gap
 
@@ -223,6 +223,27 @@ class TestNearCommutingUnitaries:
         monkeypatch.setattr(pipeline, "COMMUTE_TOL", res.comm_after / 8)
         with pytest.raises(NumericalError, match="output commutator"):
             near_commuting_unitaries(u, v)
+
+    def test_outputs_do_not_depend_on_the_series_target(self):
+        # the target sets only the coefficients' order, which the exact log never reads
+        u, v, _ = gen_almost_commuting_pair(32, 1.0, 1e-3, 11, 2)
+        runs = [near_commuting_unitaries(u, v, PipelineOptions(series_target=t))
+                for t in (1e-3, 1e-6, 1e-9)]
+        assert len({res.trunc_order1 for res in runs}) == 3
+        for res in runs[1:]:
+            assert res.x.mat.tobytes() == runs[0].x.mat.tobytes()
+            assert res.y.mat.tobytes() == runs[0].y.mat.tobytes()
+
+    def test_gamma_is_the_smallest_centered_angle(self):
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 5)
+        res = near_commuting_unitaries(u, v)
+        for w, gamma in ((u, res.gamma1), (v, res.gamma2)):
+            es, _, gap = center_gap(w)
+            assert gamma == np.min(np.abs(spectral.wrap_to_pi(es.angles)))
+            assert gap.half_width / 2 < gamma <= gap.half_width * (1 + 1e-12)
+        # a scalar's centered angle is pi, where the coefficients need gamma < pi
+        res = near_commuting_unitaries(np.array([[np.exp(2.1j)]]), np.array([[1.0 + 0j]]))
+        assert res.gamma1 == res.gamma2 == np.nextafter(np.pi, 0)
 
     def test_flat_summary_keys(self):
         u, v, _ = gen_almost_commuting_pair(4, 1.0, 1e-3, 19)
@@ -451,7 +472,9 @@ class TestDecompositionCounts:
         assert cli.main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc")]) == cli.EXIT_OK
         assert defect_calls == []
 
-    def test_pair_sums_each_series_once(self, monkeypatch):
+    def test_pair_sums_no_series(self, monkeypatch):
+        # the logs are taken exactly on the eigensystems; the coefficients
+        # only certify the commutator bound
         calls = []
         evaluate = LaurentCoefficients.evaluate
 
@@ -462,7 +485,7 @@ class TestDecompositionCounts:
         monkeypatch.setattr(LaurentCoefficients, "evaluate", counting)
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
         near_commuting_unitaries(u, v)
-        assert calls == [(8,)] * 2
+        assert calls == []
 
     def test_pair_decomposes_each_input_once(self, schur_calls, eigvalsh_calls,
                                              norm_kernel_calls, solve_calls):
@@ -546,15 +569,14 @@ class TestDecompositionCounts:
 
 
 class TestLogNormBound:
-    """The slack's |H| is a certified bound read off the log's values, not a norm."""
+    """The slack's |H| is a certified bound read off the log's angles, not a norm."""
 
     @staticmethod
     def check(u):
-        es, _, gap = center_gap(u)
-        gamma = gap.half_width / 2
-        log, _ = gapped_log(es, gamma, certified_truncation(gamma, 1e-6))
+        es, _, _ = center_gap(u)
+        log, _ = pipeline._centered_log(es, 1e-6)
         exact = max(operator_norm(log), float(np.linalg.norm(log.mat, 2)))
-        bound = pipeline._log_norm_bound(log, es.basis)
+        bound = pipeline._log_norm_bound(es.angles, es.basis)
         assert exact <= bound <= exact * (1 + 1e-10)
 
     def test_pair_pool_logs(self):
