@@ -207,9 +207,9 @@ def gapped_log(
     g_K is summed on the eigenangles: M = Z diag(g_K(theta)) Z^H is made
     exactly Hermitian by hermitian_part, H = (M + M^H)/2 with defect 0.
     An Eigensystem, such as the one center_gap returns, is used as given;
-    any other input is decomposed here. H is thus g_K of the reconstruction U~ = Z e^{i*Theta} Z^H, within
-    weighted_sum() * r of the series in U for any r >= |U~ - U|, such as
-    the eigensystem's residual.
+    any other input is decomposed here. H is thus g_K of the reconstruction
+    U~ = Z e^{i*Theta} Z^H, within weighted_sum() * r of the series in U
+    for any r >= |U~ - U|, such as the eigensystem's residual.
     """
     es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u)
     measured = float(np.min(np.abs(wrap_to_pi(es.angles))))
@@ -233,10 +233,11 @@ def direct_log(u) -> HermitianMatrix:
     """Principal-branch log by eigendecomposition: H = sum_j phi_j v_j v_j^H.
 
     Eigenangles are taken in (0, 2pi); an angle within 1e-9 of the branch
-    cut at 0 is rejected as ambiguous. Serves as the oracle for the series
-    log.
+    cut at 0 is rejected as ambiguous. An Eigensystem, such as the one
+    center_gap returns, is used as given; any other input is decomposed
+    here. The pipeline's log and the oracle for the series log.
     """
-    es = unitary_eigensystem(u)
+    es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u)
     dist = np.abs(wrap_to_pi(es.angles))
     if np.any(dist < 1e-9):
         raise BranchPointError(

@@ -53,13 +53,14 @@ def loads(text: str) -> np.ndarray:
             raise InvalidInputError(f"row {i}: expected {2 * n} values, found {len(fields)}")
     try:
         vals = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64, 2 * n * n)
-    except ValueError:
+    except ValueError as exc:
+        # the row lengths fixed the count at 2n^2, so float() failed on a token found below
         for i, fields in enumerate(rows):
             try:
                 list(map(float, fields))
-            except ValueError as exc:
-                raise InvalidInputError(f"row {i}: non-numeric value") from exc
-        raise
+            except ValueError:
+                break
+        raise InvalidInputError(f"row {i}: non-numeric value") from exc
     # viewing the (re, im) pairs keeps the sign of a zero, which re + 1j*im loses
     return as_square_array(vals.view(np.complex128).reshape(n, n), "MTXC matrix")
 

@@ -16,17 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
-from .gapped_log import LaurentCoefficients, certified_truncation, laurent_coefficients
+from .gapped_log import LaurentCoefficients, certified_truncation, direct_log, laurent_coefficients
 from .jointdiag import check_max_sweeps, nearest_commuting_pair
 from .linalg import (
     COMMUTE_TOL,
-    HermitianMatrix,
     UnitaryMatrix,
     _frobenius_bound,
     as_square_array,
     certified_unitary,
     commutator,
-    hermitian_part,
     operator_norm,
     unitary_from_angles,
 )
@@ -167,50 +165,13 @@ def log_commutator_bound(
     )
 
 
-def _log_norm_bound(values: np.ndarray, basis: np.ndarray) -> float:
-    """Certified upper bound on |H| for the log H that _centered_log formed on basis Z.
-
-    _centered_log computes M = fl(fl(Z diag(v)) Z^H) from the centered
-    eigenangles v = values and H = fl((M + M^H)/2). With G = Z^H Z,
-    eta >= |G - I|, m = max |v_j| and u the unit roundoff:
-
-    - exactly, |Z diag(v) Z^H| <= m |Z|^2 = m |G| <= m (1 + eta);
-    - each entry of the product is a complex inner product of length n
-      whose real and imaginary parts are real ones of length 2n, so
-      |M - Z diag(v) Z^H| <= p |Z| |diag(v)| |Z|^H entrywise, with
-      p = (1 + u)(1 + g) - 1, g = sqrt(2) gamma_2n and
-      gamma_k = k u/(1 - k u) (Higham, Accuracy and Stability of
-      Numerical Algorithms, 3.1 and 3.6); the 2-norm of that entrywise
-      bound is at most p m |Z|_F^2 = p m tr(G) <= p n m (1 + eta);
-    - the symmetrization adds at most u to each entry's modulus, so
-      |H| <= (1 + sqrt(n) u) |M|.
-
-    Together |H| <= m (1 + eta)(1 + n p)(1 + sqrt(n) u) <=
-    m (1 + eta)(1 + c n u) with c = 4 (n + 2), which covers
-    n p + sqrt(n) u, their product and the rounding of this bound's own
-    arithmetic. eta is measured on the computed G^:
-    |G - I| <= |G^ - I|_F + |G^ - G|_F, the subtraction of I is exact
-    (Sterbenz: the diagonal of G^ is near 1 for an eigh basis), and
-    |G^ - G|_F <= g n (1 + eta), so eta = (f + n g)/(1 - n g) for f the
-    Frobenius norm of G^ - I raised for its rounding as in gated_norm. The
-    cost is one Z^H Z product and O(n^2) work; no decomposition.
-    """
-    n = basis.shape[0]
-    u = np.finfo(float).eps / 2.0
-    g = math.sqrt(2.0) * 2 * n * u / (1.0 - 2 * n * u)
-    f = _frobenius_bound(basis.conj().T @ basis - np.eye(n))
-    eta = (f + n * g) / (1.0 - n * g)
-    return float(np.max(np.abs(values))) * (1.0 + eta) * (1.0 + 4.0 * (n + 2) * n * u)
-
-
-def _centered_log(es: Eigensystem, target: float) -> tuple[HermitianMatrix, LaurentCoefficients]:
-    """H = Z diag(theta) Z^H and the coefficients at gamma = min |theta|, which certify it.
+def _certifying_coefficients(es: Eigensystem, target: float) -> LaurentCoefficients:
+    """The coefficients at gamma = min |theta| that certify direct_log(es).
 
     gamma is kept below pi, which a scalar's theta = pi reaches.
     """
     gamma = min(float(np.min(np.abs(wrap_to_pi(es.angles)))), math.nextafter(math.pi, 0))
-    coeffs = laurent_coefficients(gamma, certified_truncation(gamma, target))
-    return hermitian_part((es.basis * es.angles) @ es.basis.conj().T), coeffs
+    return laurent_coefficients(gamma, certified_truncation(gamma, target))
 
 
 def near_commuting_unitaries(
@@ -227,7 +188,8 @@ def near_commuting_unitaries(
     g(theta) = sum_all c_k e^{ik*theta} equals theta on [gamma, 2pi - gamma]
     (its bump is symmetric with unit mass), and a function of a normal
     matrix is that function on its eigenvalues, so for
-    gamma_u <= min_j |theta_j| the log H_u = Z diag(Theta) Z^H is g(U~),
+    gamma_u <= min_j |theta_j| the log H_u = Z diag(Theta) Z^H, which
+    direct_log takes on the eigensystem as given, is g(U~),
     the full series in the reconstruction U~ = Z e^{i*Theta} Z^H, not in
     U_c; r_u >= |U~ - U_c| is the certified bound on that residual which
     the eigensystem carries, es_u.residual below. The coefficients enter
@@ -243,10 +205,8 @@ def near_commuting_unitaries(
       P_u = g(U_c) and |D_u| <= e_u = W_u*r_u. Then
           |[H_u, H_v]| <= |[P_u, P_v]| + |[D_u, H_v]| + |[P_u, D_v]|
                        <= eps*alpha + 2 e_u |H_v| + 2 e_v (|H_u| + e_u).
-      |H_u| and |H_v| enter this slack through _log_norm_bound, an upper
-      bound read off the angles on the carried basis Z: the largest
-      |theta_j| raised by Z's measured departure from orthonormality and
-      by the rounding of the product that formed H_u.
+      |H_u| and |H_v| enter this slack as the rounded-up Frobenius norms
+      of the logs held, which bound their operator norms.
     - Distance, measured against U itself. exp(iH_u) = U~, and a scalar
       phase changes no norm:
           |X - U| = |exp(iA') - U_c|
@@ -272,8 +232,9 @@ def near_commuting_unitaries(
             min_gap=opts.min_gap,
         )
 
-    log_u, coeffs_u = _centered_log(es_u, opts.series_target)
-    log_v, coeffs_v = _centered_log(es_v, opts.series_target)
+    log_u, log_v = direct_log(es_u), direct_log(es_v)
+    coeffs_u = _certifying_coefficients(es_u, opts.series_target)
+    coeffs_v = _certifying_coefficients(es_v, opts.series_target)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
     bound = log_commutator_bound(
@@ -281,8 +242,7 @@ def near_commuting_unitaries(
     )
     err_u = coeffs_u.weighted_sum() * es_u.residual
     err_v = coeffs_v.weighted_sum() * es_v.residual
-    norm_u = _log_norm_bound(es_u.angles, es_u.basis)
-    norm_v = _log_norm_bound(es_v.angles, es_v.basis)
+    norm_u, norm_v = _frobenius_bound(log_u.mat), _frobenius_bound(log_v.mat)
     slack = 2.0 * (err_u * norm_v + err_v * (norm_u + err_u))
     if measured_log_comm > bound.predicted + slack + 1e-12 * n:
         raise NumericalError(

@@ -139,6 +139,27 @@ class TestNearestCommutingPair:
         assert pair.dist_b == pytest.approx(0.0, abs=1e-14)
         assert pair.converged
 
+    @pytest.mark.parametrize("case", ["warm-start", "blind-2", "blind-3"])
+    def test_stops_at_the_first_off_at_or_below_the_floor(self, case):
+        # floor = 1e-30 * (|A|_F^2 + |B|_F^2). warm-start: a_01 = 1e-17 is
+        # below eigh's resolution, so the warm-start basis leaves off = 2e-34
+        # with a nonzero generator. blind-n: a commuting pair with
+        # a_0 + phi*b_0 = a_1 + phi*b_1 in a Haar basis, so the warm start
+        # cannot split that plane and the sweeps take off down to rounding
+        if case == "warm-start":
+            a, b = np.diag([1.0, 2.0, 3.0]).astype(complex), np.zeros((3, 3))
+            a[0, 1] = a[1, 0] = 1e-17
+        else:
+            n = int(case[-1])
+            q = haar_unitary(n, stream_rng(2))
+            da, db = np.arange(n, dtype=float), np.zeros(n)
+            da[1], db[1] = -jointdiag._WARM_START_WEIGHT, 1.0
+            a, b = (q * da) @ q.conj().T, (q * db) @ q.conj().T
+        pair = nearest_commuting_pair(a, b)
+        floor = 1e-30 * max(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2), 1.0)
+        assert pair.converged and pair.off_history[0] > 0
+        assert pair.off_history[-1] <= floor < min(pair.off_history[:-1], default=np.inf)
+
     def test_small_perturbation_2x2(self):
         # A dominates, so the best move keeps A's basis and diagonalizes
         # only B's diagonal part: dist_a = 0, dist_b = |eps|

@@ -135,8 +135,9 @@ class TestTokens:
         fields = lines[1 + row].split()
         fields[3] = "0x1p0"
         lines[1 + row] = " ".join(fields)
-        with pytest.raises(InvalidInputError, match=f"^row {row}: non-numeric value$"):
+        with pytest.raises(InvalidInputError, match=f"^row {row}: non-numeric value$") as info:
             mtxc.loads("\n".join(lines))
+        assert "'0x1p0'" in str(info.value.__cause__)
 
     def test_underscore_digits_parse_as_python_floats(self):
         assert np.array_equal(mtxc.loads("MTXC 1 1\n1_0 -2_5.5e-1\n"),

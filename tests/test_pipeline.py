@@ -1,9 +1,14 @@
 """End-to-end pipeline behavior and the commutator bound report."""
 
+import contextlib
 import dataclasses
 import importlib
 import importlib.util
+import io
+import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +25,7 @@ from nearcomm import (
     choose_truncation,
     cli,
     commutator,
+    direct_log,
     gapped_log,
     gen_almost_commuting_pair,
     gen_gapped_unitary,
@@ -36,6 +42,7 @@ from nearcomm import (
     spectral,
     stream_rng,
 )
+from nearcomm.ensembles import random_hermitian_unit_norm
 from nearcomm.gapped_log import LaurentCoefficients
 from nearcomm.pipeline import log_commutator_bound
 from nearcomm.spectral import Eigensystem, center_gap
@@ -355,6 +362,15 @@ def svd_calls(monkeypatch):
 
 
 @pytest.fixture
+def jd_inputs(monkeypatch):
+    """The logs (A, B) that each pipeline call hands the joint diagonalization, in order."""
+    held, jd = [], pipeline.nearest_commuting_pair
+    monkeypatch.setattr(pipeline, "nearest_commuting_pair",
+                        lambda a, b, *rest: held.extend((a, b)) or jd(a, b, *rest))
+    return held
+
+
+@pytest.fixture
 def defect_calls(monkeypatch):
     """unitarity_defect calls, under every package name that binds it."""
     calls = []
@@ -436,6 +452,78 @@ class TestSymmetries:
         assert np.max(np.abs(swapped.y.mat - res.x.mat)) <= tol
         assert swapped.dist_u == pytest.approx(res.dist_v, rel=0, abs=tol)
         assert swapped.dist_v == pytest.approx(res.dist_u, rel=0, abs=tol)
+
+
+def _spectrum(kind: str, n: int, shift: float) -> np.ndarray:
+    """n eigenangles: distinct, two values repeated, one value (a scalar) or equally spaced.
+
+    Equally spaced angles tie every gap, so each eigenvalue sits on the
+    edge of a largest gap; shift 0 or pi puts one on angle 0 or pi exactly.
+    """
+    if kind == "distinct":
+        return np.mod(shift + 2.0 * np.arange(n) ** 1.5, 2.0 * np.pi)
+    if kind == "repeated":
+        return np.where(np.arange(n) % 2 == 0, shift, shift + 2.5)
+    if kind == "scalar":
+        return np.full(n, shift)
+    return shift + 2.0 * np.pi * np.arange(n) / n
+
+
+@st.composite
+def edge_inputs(draw):
+    """(U, V, min_gap, rejected): a pair at one of the edges of the pipeline's input domain.
+
+    The basis is I (then eps = 0 makes [U, V] exactly 0) or Haar; V is
+    perturbed by exp(i*eps*G). min_gap is the default, one ulp below the
+    smaller measured gap half-width (a gap just above min_gap) or equal to
+    it (an eigenvalue on the edge min_gap sets, which is rejected).
+    """
+    n = draw(st.sampled_from([1, 2, 3, 5]))
+    seed = draw(st.integers(0, 2**16))
+    kinds = st.sampled_from(["distinct", "repeated", "scalar", "spaced"])
+    shifts = st.sampled_from([0.0, np.pi, 0.4, 4.0])
+    basis = np.eye(n) if draw(st.booleans()) else haar_unitary(n, stream_rng(seed, 0))
+    u = linalg.unitary_from_angles(basis, _spectrum(draw(kinds), n, draw(shifts)))
+    v = linalg.unitary_from_angles(basis, _spectrum(draw(kinds), n, draw(shifts)))
+    eps = draw(st.sampled_from([0.0, 1e-3, 1e-1]))
+    if eps > 0:
+        g = random_hermitian_unit_norm(n, stream_rng(seed, 1))
+        v = linalg.herm_exp(eps * g).mat @ v
+    mode = draw(st.sampled_from(["default", "above", "at"]))
+    if mode == "default":
+        return u, v, PipelineOptions().min_gap, False
+    gap = min(center_gap(m)[2].half_width for m in (u, v))
+    return u, v, (math.nextafter(gap, 0.0) if mode == "above" else gap), mode == "at"
+
+
+class TestEdgeInputs:
+    """Small, degenerate, exactly commuting and barely gapped pairs end in a
+    checked result or a GapTooSmallError, also through `nearcomm pair`."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=edge_inputs())
+    def test_checked_result_or_gap_rejection(self, case):
+        u, v, min_gap, rejected = case
+        n = u.shape[0]
+        try:
+            res = near_commuting_unitaries(u, v, PipelineOptions(min_gap=min_gap))
+        except GapTooSmallError:
+            assert rejected
+            expected = cli.EXIT_REJECTED
+        else:
+            assert not rejected
+            assert all(np.isfinite(float(value)) for value in res.flat().values())
+            assert np.all(np.isfinite(res.x.mat)) and np.all(np.isfinite(res.y.mat))
+            assert res.comm_after <= linalg.COMMUTE_TOL * n
+            expected = cli.EXIT_OK
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, name) for name in ("u", "v", "x", "y")]
+            mtxc.write(paths[0], u)
+            mtxc.write(paths[1], v)
+            argv = ["pair", *paths[:2], "--min-gap", repr(min_gap),
+                    "--out-x", paths[2], "--out-y", paths[3]]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == expected
 
 
 class TestDecompositionCounts:
@@ -567,28 +655,45 @@ class TestDecompositionCounts:
         gapped_log(es, gamma, choose_truncation(gamma, 1e-6))
         assert schur_calls == eigvalsh_calls == eigh_calls == []
 
+    def test_pipeline_log_is_direct_log_on_the_centered_eigensystem(
+        self, schur_calls, eigvalsh_calls, eigh_calls, jd_inputs
+    ):
+        u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
+        near_commuting_unitaries(u, v)
+        systems = [center_gap(u)[0], center_gap(v)[0]]
+        schur_calls.clear()
+        eigvalsh_calls.clear()
+        eigh_calls.clear()
+        logs = [direct_log(es) for es in systems]
+        assert schur_calls == eigvalsh_calls == eigh_calls == []
+        assert [log.mat.tobytes() for log in logs] == [log.mat.tobytes() for log in jd_inputs]
 
-class TestLogNormBound:
-    """The slack's |H| is a certified bound read off the log's angles, not a norm."""
+
+class TestSlackNormBound:
+    """The slack's |H| is the rounded-up Frobenius norm of the log held, never below its norm."""
 
     @staticmethod
-    def check(u):
-        es, _, _ = center_gap(u)
-        log, _ = pipeline._centered_log(es, 1e-6)
+    def check(log):
         exact = max(operator_norm(log), float(np.linalg.norm(log.mat, 2)))
-        bound = pipeline._log_norm_bound(es.angles, es.basis)
-        assert exact <= bound <= exact * (1 + 1e-10)
+        assert exact <= linalg._frobenius_bound(log.mat)
 
-    def test_pair_pool_logs(self):
+    def test_pair_pool_logs(self, monkeypatch, jd_inputs):
+        # the pipeline reads |H_u| and |H_v| off the two logs it hands the JD
+        bounded, frobenius = [], pipeline._frobenius_bound
+        monkeypatch.setattr(pipeline, "_frobenius_bound",
+                            lambda m: bounded.append(m) or frobenius(m))
         for i in range(32):
             u, v, _ = gen_almost_commuting_pair(32, 1.0, (1e-1, 1e-2, 1e-3, 1e-4)[i % 4], 11, i)
-            self.check(u)
-            self.check(v)
+            near_commuting_unitaries(u, v)
+        assert len(bounded) == len(jd_inputs) == 64
+        for mat, log in zip(bounded, jd_inputs):
+            assert mat is log.mat
+            self.check(log)
 
     @pytest.mark.parametrize("n", [1, 5, 32, 128])
     def test_gapped_unitaries(self, n):
         for i in range(3):
-            self.check(gen_gapped_unitary(n, 0.6, 29, i))
+            self.check(direct_log(center_gap(gen_gapped_unitary(n, 0.6, 29, i))[0]))
 
 
 def tridiagonal_family(n):
