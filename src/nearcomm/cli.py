@@ -18,7 +18,7 @@ from .errors import InvalidInputError, NumericalError, PreconditionError
 from .gapped_log import certified_truncation, gapped_log
 from .linalg import UnitaryMatrix
 from .pipeline import PipelineOptions, near_commuting_unitaries
-from .spectral import center_gap, largest_gap, unitary_eigensystem
+from .spectral import center_gap
 from .sweep import ExperimentConfig, _fmt, run_sweep, summarize
 
 EXIT_OK = 0
@@ -37,7 +37,7 @@ def _load_unitary(path: str) -> UnitaryMatrix:
 
 def _cmd_gap(args) -> int:
     u = _load_unitary(args.matrix)
-    gap = largest_gap(unitary_eigensystem(u).angles)
+    _, gap = center_gap(u)
     _print_kv(
         {
             "n": u.n,
@@ -52,7 +52,7 @@ def _cmd_gap(args) -> int:
 
 def _cmd_log(args) -> int:
     u = _load_unitary(args.matrix)
-    es, zeta, gap = center_gap(u)
+    es, gap = center_gap(u)
     gamma = args.gamma if args.gamma is not None else gap.half_width / 2.0
     order = certified_truncation(gamma, args.target)
     h, lc = gapped_log(es, gamma, order, args.target)
@@ -67,7 +67,7 @@ def _cmd_log(args) -> int:
     _print_kv(
         {
             "n": u.n,
-            "zeta": zeta,
+            "zeta": gap.center,
             "half_width": gap.half_width,
             "gamma": gamma,
             "trunc_order": lc.trunc_order,

@@ -21,7 +21,7 @@ from .linalg import (
     operator_norm,
     unitary_from_angles,
 )
-from .spectral import TWO_PI, unitary_eigensystem, wrap_to_pi
+from .spectral import TWO_PI, unitary_eigensystem
 
 MAX_REGEN_RETRIES = 8
 
@@ -80,11 +80,6 @@ def gen_gapped_unitary(n: int, delta: float, seed: int, *stream: int) -> Unitary
     basis = haar_unitary(n, rng)
     mat = unitary_from_angles(basis, angles)
     return certified_unitary(mat, "gapped unitary")
-
-
-def _gap_at_zero(u) -> float:
-    es = unitary_eigensystem(u)
-    return float(np.min(np.abs(wrap_to_pi(es.angles))))
 
 
 def _gap_settled(n: int, delta: float, eps_target: float) -> bool:
@@ -157,7 +152,7 @@ def gen_almost_commuting_pair(
         u_mat = herm_exp(eps_target * g).mat @ u0
         u = certified_unitary(u_mat, "perturbed U")
         v = certified_unitary(v0, "V")
-        if settled or (_gap_at_zero(u) >= delta / 2.0 and _gap_at_zero(v) >= delta / 2.0):
+        if settled or all(unitary_eigensystem(m).margin >= delta / 2.0 for m in (u, v)):
             eps_actual = operator_norm(commutator(u_mat, v0))
             return u, v, eps_actual
     raise NumericalError(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BranchPointError, InvalidInputError, PreconditionError, TruncationError
 from .linalg import HermitianMatrix, _frozen, hermitian_part
-from .spectral import Eigensystem, unitary_eigensystem, wrap_to_pi
+from .spectral import Eigensystem, unitary_eigensystem
 
 # Bound on sup_s s^3 |X(s)| for the unit-mass kernel transform X, whose
 # value is 25.3834 (near s = 4.514). |c_k| = |X(gamma*k)|/k, so every
@@ -212,7 +212,7 @@ def gapped_log(
     for any r >= |U~ - U|, such as the eigensystem's residual.
     """
     es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u)
-    measured = float(np.min(np.abs(wrap_to_pi(es.angles))))
+    measured = es.margin
     if not gamma < measured:
         raise PreconditionError(
             f"smoothing width gamma = {gamma} not below measured gap half-width {measured:.6f}"
@@ -238,9 +238,6 @@ def direct_log(u) -> HermitianMatrix:
     here. The pipeline's log and the oracle for the series log.
     """
     es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u)
-    dist = np.abs(wrap_to_pi(es.angles))
-    if np.any(dist < 1e-9):
-        raise BranchPointError(
-            f"eigenangle within {np.min(dist):.3e} of the branch point at angle 0"
-        )
+    if es.margin < 1e-9:
+        raise BranchPointError(f"eigenangle within {es.margin:.3e} of the branch point at angle 0")
     return hermitian_part((es.basis * es.angles) @ es.basis.conj().T)

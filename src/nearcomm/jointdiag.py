@@ -19,7 +19,6 @@ that basis and the two real diagonals, never as dense matrices.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +38,10 @@ _MAX_HALVINGS = 8
 # relative-improvement stop: the iteration is converged when the next
 # step's predicted decrease of off is at most this fraction of off
 _REL_IMPROVEMENT_TOL = 1e-12
+
+# sweep budget: an iteration that meets none of its stops within this many
+# sweeps is returned flagged unconverged
+MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -104,32 +107,25 @@ def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.nd
     return x - x.conj().T, d
 
 
-def check_max_sweeps(max_sweeps) -> None:
-    """Reject a sweep budget that is not an integer >= 1."""
-    if not isinstance(max_sweeps, numbers.Integral) or max_sweeps < 1:
-        raise InvalidInputError(f"max_sweeps must be an integer >= 1, got {max_sweeps}")
-
-
-def nearest_commuting_pair(a, b, max_sweeps: int = 100) -> CommutingHermitianPair:
+def nearest_commuting_pair(a, b) -> CommutingHermitianPair:
     """Exactly commuting Hermitian pair (A', B') near Hermitian (A, B).
 
     A HermitianMatrix argument is trusted; a plain array is checked by
-    HermitianMatrix.from_array; max_sweeps must be an integer >= 1.
-    Sweeps, started from the eigenbasis of A + phi*B, rotate toward a
-    joint near-diagonalizer Q. A sweep takes the generator X of
-    _newton_generator and the Cayley factor G = (I - X/2)^{-1}(I + X/2),
-    which is unitary with rotation angles below pi, and maps the basis Q
-    to QG; X is halved until off does not rise, at most _MAX_HALVINGS
-    times. A' and B' are the diagonal parts in the final basis, returned
-    in factored form as Q and the two real diagonals; each distance is
-    measured on Q diag(d) Q^H. For commuting inputs with simple spectrum
-    this reproduces the pair to rounding. The iteration is converged when
-    off is at most 1e-30 times the inputs' squared Frobenius mass, when
-    the next step's predicted decrease is at most _REL_IMPROVEMENT_TOL
-    times off, or when no halving lowers off. If max_sweeps is exhausted
-    first, the result is flagged unconverged but still commutes exactly.
+    HermitianMatrix.from_array. Sweeps, started from the eigenbasis of
+    A + phi*B, rotate toward a joint near-diagonalizer Q. A sweep takes
+    the generator X of _newton_generator and the Cayley factor
+    G = (I - X/2)^{-1}(I + X/2), which is unitary with rotation angles
+    below pi, and maps the basis Q to QG; X is halved until off does not
+    rise, at most _MAX_HALVINGS times. A' and B' are the diagonal parts in
+    the final basis, returned in factored form as Q and the two real
+    diagonals; each distance is measured on Q diag(d) Q^H. For commuting
+    inputs with simple spectrum this reproduces the pair to rounding. The
+    iteration is converged when off is at most 1e-30 times the inputs'
+    squared Frobenius mass, when the next step's predicted decrease is at
+    most _REL_IMPROVEMENT_TOL times off, or when no halving lowers off. If
+    MAX_SWEEPS sweeps run out first, the result is flagged unconverged but
+    still commutes exactly.
     """
-    check_max_sweeps(max_sweeps)
     ma, mb = (
         m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix.from_array(m).mat
         for m in (a, b)
@@ -148,7 +144,7 @@ def nearest_commuting_pair(a, b, max_sweeps: int = 100) -> CommutingHermitianPai
 
     history = [_off(w, mask)]
     converged = history[0] <= floor
-    while not converged and len(history) <= max_sweeps:
+    while not converged and len(history) <= MAX_SWEEPS:
         prev = history[-1]
         x, d = _newton_generator(*w)
         if 2.0 * float(np.sum(d * np.abs(x.take(upper)) ** 2)) <= _REL_IMPROVEMENT_TOL * prev:

@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
 from .gapped_log import LaurentCoefficients, certified_truncation, direct_log, laurent_coefficients
-from .jointdiag import check_max_sweeps, nearest_commuting_pair
+from .jointdiag import nearest_commuting_pair
 from .linalg import (
     COMMUTE_TOL,
     UnitaryMatrix,
@@ -31,14 +29,13 @@ from .linalg import (
 # not called here: bound only because perfbench's tracer looks up these two names
 from .gapped_log import gapped_log  # noqa: F401
 from .linalg import herm_exp  # noqa: F401
-from .spectral import Eigensystem, GapInfo, center_gap, wrap_to_pi
+from .spectral import Eigensystem, GapInfo, center_gap
 
 
 @dataclass(frozen=True)
 class PipelineOptions:
     min_gap: float = 0.1
     series_target: float = 1e-6
-    max_sweeps: int = 100
 
     def __post_init__(self):
         # written so that NaN fails both
@@ -46,7 +43,6 @@ class PipelineOptions:
             raise InvalidInputError(f"min_gap must be nonnegative, got {self.min_gap}")
         if not self.series_target > 0:
             raise InvalidInputError(f"series_target must be positive, got {self.series_target}")
-        check_max_sweeps(self.max_sweeps)
 
 
 DEFAULT_OPTIONS = PipelineOptions()
@@ -56,17 +52,14 @@ DEFAULT_OPTIONS = PipelineOptions()
 class BoundReport:
     """Commutator amplification of the two log series.
 
-    alpha_emp = W_u*W_v is the product of each coefficient set's full sum
-    W = sum_k |k||c_k| (LaurentCoefficients.weighted_sum); the commutator of
-    the logs is bounded by epsilon * alpha_emp up to residual slack.
-    alpha_normalized rescales by delta1*delta2, the gap-free form of the same constant.
+    [U^j, V^k] is a sum of |j||k| conjugated copies of [U, V], so the series
+    logs' commutator is at most predicted = epsilon*alpha_emp, epsilon =
+    |[U, V]| (PipelineResult.comm_before), alpha_emp = W_u*W_v the product of
+    the full sums W = sum_k |k||c_k| (LaurentCoefficients.weighted_sum).
+    measured_log_comm, the held logs' commutator, is checked against it.
     """
 
-    epsilon: float
-    delta1: float
-    delta2: float
     alpha_emp: float
-    alpha_normalized: float
     predicted: float
     measured_log_comm: float
 
@@ -75,8 +68,10 @@ class BoundReport:
 class PipelineResult:
     """Commuting pair (x, y) with every measured distance and bound.
 
-    tail1, tail2 bound each coefficient set's remainder past trunc_order1,
-    trunc_order2; they enter only W's certified remainder, not the logs.
+    gap1, gap2 are the largest gaps found on U and V; each input was
+    centered at its gap's center, zeta = gap.center. tail1, tail2 bound
+    each coefficient set's remainder past trunc_order1, trunc_order2; they
+    enter only W's certified remainder, not the logs.
     """
 
     x: UnitaryMatrix
@@ -90,8 +85,6 @@ class PipelineResult:
     herm_dist_b: float
     exp_dist_a: float
     exp_dist_b: float
-    zeta1: float
-    zeta2: float
     gap1: GapInfo
     gap2: GapInfo
     gamma1: float
@@ -111,17 +104,17 @@ class PipelineResult:
             "dist_v": self.dist_v,
             "comm_before": self.comm_before,
             "comm_after": self.comm_after,
-            "epsilon": self.bound.epsilon,
+            "epsilon": self.comm_before,
             "alpha_emp": self.bound.alpha_emp,
-            "alpha_normalized": self.bound.alpha_normalized,
+            "alpha_normalized": self.bound.alpha_emp * self.gap1.half_width * self.gap2.half_width,
             "predicted_bound": self.bound.predicted,
             "measured_log_comm": self.bound.measured_log_comm,
             "herm_dist_a": self.herm_dist_a,
             "herm_dist_b": self.herm_dist_b,
             "exp_dist_a": self.exp_dist_a,
             "exp_dist_b": self.exp_dist_b,
-            "zeta1": self.zeta1,
-            "zeta2": self.zeta2,
+            "zeta1": self.gap1.center,
+            "zeta2": self.gap2.center,
             "delta1": self.gap1.half_width,
             "delta2": self.gap2.half_width,
             "gamma1": self.gamma1,
@@ -137,40 +130,12 @@ class PipelineResult:
         }
 
 
-def log_commutator_bound(
-    coeffs_u: LaurentCoefficients,
-    coeffs_v: LaurentCoefficients,
-    epsilon: float,
-    delta1: float = float("nan"),
-    delta2: float = float("nan"),
-    measured_log_comm: float = float("nan"),
-) -> BoundReport:
-    """Bound on the commutator of the two series logs from their coefficients.
-
-    The commutator of U^j and V^k expands into |j|*|k| conjugated copies of
-    [U, V], so the series commutator is controlled by the product of the
-    weighted coefficient sums.
-    """
-    su = coeffs_u.weighted_sum()
-    sv = coeffs_v.weighted_sum()
-    alpha = su * sv
-    return BoundReport(
-        epsilon=float(epsilon),
-        delta1=float(delta1),
-        delta2=float(delta2),
-        alpha_emp=alpha,
-        alpha_normalized=alpha * float(delta1) * float(delta2),
-        predicted=float(epsilon) * alpha,
-        measured_log_comm=float(measured_log_comm),
-    )
-
-
 def _certifying_coefficients(es: Eigensystem, target: float) -> LaurentCoefficients:
     """The coefficients at gamma = min |theta| that certify direct_log(es).
 
     gamma is kept below pi, which a scalar's theta = pi reaches.
     """
-    gamma = min(float(np.min(np.abs(wrap_to_pi(es.angles)))), math.nextafter(math.pi, 0))
+    gamma = min(es.margin, math.nextafter(math.pi, 0))
     return laurent_coefficients(gamma, certified_truncation(gamma, target))
 
 
@@ -183,12 +148,13 @@ def near_commuting_unitaries(
     opts.min_gap. The returned pair commutes within the commute tolerance;
     the result carries all measured distances and the bound report.
 
-    center_gap returns the eigensystem (Z, Theta) of the centered input
-    U_c = e^{-i*zeta1} U; U_c itself is never formed. The smoothed sawtooth
-    g(theta) = sum_all c_k e^{ik*theta} equals theta on [gamma, 2pi - gamma]
-    (its bump is symmetric with unit mass), and a function of a normal
-    matrix is that function on its eigenvalues, so for
-    gamma_u <= min_j |theta_j| the log H_u = Z diag(Theta) Z^H, which
+    center_gap returns U's gap and the eigensystem (Z, Theta) of the
+    centered input U_c = e^{-i*zeta1} U, zeta1 = gap1.center; U_c itself
+    is never formed. The smoothed sawtooth g(theta) = sum_all c_k
+    e^{ik*theta} equals theta on [gamma, 2pi - gamma] (its bump is
+    symmetric with unit mass), and a function of a normal matrix is that
+    function on its eigenvalues, so for gamma_u <= es_u.margin =
+    min_j |theta_j| the log H_u = Z diag(Theta) Z^H, which
     direct_log takes on the eigensystem as given, is g(U~),
     the full series in the reconstruction U~ = Z e^{i*Theta} Z^H, not in
     U_c; r_u >= |U~ - U_c| is the certified bound on that residual which
@@ -222,8 +188,8 @@ def near_commuting_unitaries(
     n = a_u.shape[0]
     eps = operator_norm(commutator(a_u, a_v))
 
-    es_u, zeta1, gap1 = center_gap(u)
-    es_v, zeta2, gap2 = center_gap(v)
+    es_u, gap1 = center_gap(u)
+    es_v, gap2 = center_gap(v)
     if gap1.half_width <= opts.min_gap or gap2.half_width <= opts.min_gap:
         raise GapTooSmallError(
             f"gap half-widths ({gap1.half_width:.6f}, {gap2.half_width:.6f}) "
@@ -237,11 +203,10 @@ def near_commuting_unitaries(
     coeffs_v = _certifying_coefficients(es_v, opts.series_target)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
-    bound = log_commutator_bound(
-        coeffs_u, coeffs_v, eps, gap1.half_width, gap2.half_width, measured_log_comm
-    )
-    err_u = coeffs_u.weighted_sum() * es_u.residual
-    err_v = coeffs_v.weighted_sum() * es_v.residual
+    w_u, w_v = coeffs_u.weighted_sum(), coeffs_v.weighted_sum()
+    alpha = w_u * w_v
+    bound = BoundReport(alpha_emp=alpha, predicted=eps * alpha, measured_log_comm=measured_log_comm)
+    err_u, err_v = w_u * es_u.residual, w_v * es_v.residual
     norm_u, norm_v = _frobenius_bound(log_u.mat), _frobenius_bound(log_v.mat)
     slack = 2.0 * (err_u * norm_v + err_v * (norm_u + err_u))
     if measured_log_comm > bound.predicted + slack + 1e-12 * n:
@@ -250,12 +215,12 @@ def near_commuting_unitaries(
             f"{bound.predicted:.3e} plus slack {slack:.3e}"
         )
 
-    pair = nearest_commuting_pair(log_u, log_v, opts.max_sweeps)
+    pair = nearest_commuting_pair(log_u, log_v)
 
-    x_mat = unitary_from_angles(pair.basis, pair.diag_a + zeta1)
-    y_mat = unitary_from_angles(pair.basis, pair.diag_b + zeta2)
-    ref_u = unitary_from_angles(es_u.basis, es_u.angles + zeta1)
-    ref_v = unitary_from_angles(es_v.basis, es_v.angles + zeta2)
+    x_mat = unitary_from_angles(pair.basis, pair.diag_a + gap1.center)
+    y_mat = unitary_from_angles(pair.basis, pair.diag_b + gap2.center)
+    ref_u = unitary_from_angles(es_u.basis, es_u.angles + gap1.center)
+    ref_v = unitary_from_angles(es_v.basis, es_v.angles + gap2.center)
     exp_dist_a = operator_norm(x_mat - ref_u)
     exp_dist_b = operator_norm(y_mat - ref_v)
     if exp_dist_a > pair.dist_a + 1e-10 * n or exp_dist_b > pair.dist_b + 1e-10 * n:
@@ -288,8 +253,6 @@ def near_commuting_unitaries(
         herm_dist_b=pair.dist_b,
         exp_dist_a=exp_dist_a,
         exp_dist_b=exp_dist_b,
-        zeta1=zeta1,
-        zeta2=zeta2,
         gap1=gap1,
         gap2=gap2,
         gamma1=coeffs_u.gamma,

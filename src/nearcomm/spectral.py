@@ -74,6 +74,11 @@ class Eigensystem:
         object.__setattr__(self, "angles", _frozen(self.angles, np.float64))
         object.__setattr__(self, "basis", _frozen(self.basis))
 
+    @property
+    def margin(self) -> float:
+        """min |wrap_to_pi(angles)|, the spectrum's distance from the log's branch point at 0."""
+        return float(np.min(np.abs(wrap_to_pi(self.angles))))
+
 
 @dataclass(frozen=True)
 class GapInfo:
@@ -204,25 +209,17 @@ def largest_gap(angles) -> GapInfo:
     )
 
 
-def center_gap(u) -> tuple[Eigensystem, float, GapInfo]:
+def center_gap(u) -> tuple[Eigensystem, GapInfo]:
     """Rotate a unitary's eigensystem so its largest gap sits at angle 0.
 
-    Returns (eigensystem of exp(-i*zeta) * U, zeta, centered gap). The
-    eigensystem is U's with every angle moved by -zeta mod 2pi, re-sorted
-    ascending in [0, 2pi) with the basis columns to match, so the gap
-    straddles 0; its residual, measured on U, is unchanged by the scalar
-    phase. The centered gap is the gap found on U moved the same way:
-    center 0, the same half-width, and lo/hi shifted mod 2pi.
+    Returns (eigensystem of exp(-i*zeta) * U, gap), where gap is the
+    largest gap found on U and zeta = gap.center. The eigensystem is U's
+    with every angle moved by -zeta mod 2pi, re-sorted ascending in
+    [0, 2pi) with the basis columns to match, so the gap straddles 0; its
+    residual, measured on U, is unchanged by the scalar phase.
     """
     es = unitary_eigensystem(u)
     gap = largest_gap(es.angles)
-    zeta = gap.center
-    centered = GapInfo(
-        center=0.0,
-        half_width=gap.half_width,
-        lo=float(np.mod(gap.lo - zeta, TWO_PI)),
-        hi=float(np.mod(gap.hi - zeta, TWO_PI)),
-    )
-    shifted = np.mod(es.angles - zeta, TWO_PI)
+    shifted = np.mod(es.angles - gap.center, TWO_PI)
     order = np.argsort(shifted, kind="stable")
-    return Eigensystem(shifted[order], es.basis[:, order], es.residual), float(zeta), centered
+    return Eigensystem(shifted[order], es.basis[:, order], es.residual), gap

@@ -49,7 +49,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class TrialRecord:
-    """One sweep cell; a failed trial keeps the defaults: NaN, order 0, unconverged."""
+    """One sweep cell; a failed trial keeps the defaults: NaN, order 0, unconverged.
+
+    failure is "" for a checked result, else the class name of its error.
+    """
 
     n: int
     seed: int
@@ -66,6 +69,7 @@ class TrialRecord:
     comm_after: float = math.nan
     trunc_order: int = 0
     converged: bool = False
+    failure: str = ""
 
 
 CSV_FIELDS = [f.name for f in fields(TrialRecord)]
@@ -112,10 +116,10 @@ class SweepSummary:
 
 
 def _trial_record(
-    config: ExperimentConfig, eps: float, eps_actual: float, res: PipelineResult | None
+    config: ExperimentConfig, eps: float, eps_actual: float, res: PipelineResult | Exception
 ) -> TrialRecord:
-    """The row of one (epsilon, trial) cell; a failed trial (res None) measures nothing."""
-    measured = {} if res is None else dict(
+    """The row of one (epsilon, trial) cell; a failed trial (res its error) measures nothing."""
+    measured = dict(failure=type(res).__name__) if isinstance(res, Exception) else dict(
         delta1=res.gap1.half_width,
         delta2=res.gap2.half_width,
         log_comm=res.bound.measured_log_comm,
@@ -137,21 +141,23 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     """All (epsilon, trial) cells through the pipeline, in deterministic order.
 
     The pipeline runs with its default options and config.series_target.
-    Failed trials are recorded with NaN measurements rather than aborting
-    the sweep. If config.out_path is set the records are persisted as CSV.
+    Failed trials are recorded with NaN measurements and the error's class
+    name rather than aborting the sweep. If config.out_path is set the
+    records are persisted as CSV.
     """
     opts = PipelineOptions(series_target=config.series_target)
     records: list[TrialRecord] = []
     for i, eps in enumerate(config.epsilons):
         for t in range(config.trials):
-            eps_actual, res = math.nan, None
+            eps_actual = math.nan
             try:
                 u, v, eps_actual = gen_almost_commuting_pair(
                     config.n, config.delta, eps, config.seed, i, t
                 )
                 res = near_commuting_unitaries(u, v, opts)
-            except (PreconditionError, InvalidInputError, NumericalError, np.linalg.LinAlgError):
-                pass
+            except (PreconditionError, InvalidInputError, NumericalError,
+                    np.linalg.LinAlgError) as exc:
+                res = exc
             records.append(_trial_record(config, eps, eps_actual, res))
     if config.out_path is not None:
         write_records(config.out_path, records, config)

@@ -1,6 +1,5 @@
 """CLI subcommands, output formats, exit codes."""
 
-import dataclasses
 import os
 import re
 import subprocess
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import nearcomm
-from nearcomm import cli, commutator, operator_norm
+from nearcomm import cli, commutator, jointdiag, operator_norm
 from nearcomm import mtxc
 from nearcomm.linalg import herm_exp
 from nearcomm.cli import EXIT_OK, EXIT_REJECTED, main
@@ -122,12 +121,7 @@ def test_pair_warns_when_joint_diagonalization_unconverged(tmp_path, capsys, mon
           "--seed", "4", "--out-u", str(u_path), "--out-v", str(v_path)])
     capsys.readouterr()
 
-    real = cli.near_commuting_unitaries
-    monkeypatch.setattr(
-        cli,
-        "near_commuting_unitaries",
-        lambda u, v, opts: real(u, v, dataclasses.replace(opts, max_sweeps=1)),
-    )
+    monkeypatch.setattr(jointdiag, "MAX_SWEEPS", 1)
     code = main(["pair", str(u_path), str(v_path), "--out-x", str(tmp_path / "x.mtxc"),
                  "--out-y", str(tmp_path / "y.mtxc")])
     assert code == EXIT_OK
@@ -258,6 +252,7 @@ def test_sweep_past_the_order_cap_records_nan_rows_promptly(tmp_path):
     assert len(rows) == 4
     cells = [dict(zip(CSV_FIELDS, row.split(","))) for row in rows]
     assert all(c["dist_u"] == "nan" and c["trunc_order"] == "0" for c in cells)
+    assert all(c["failure"] == "PreconditionError" for c in cells)
 
 
 @pytest.mark.parametrize("delta", ["4", "-1"])

@@ -178,6 +178,8 @@ class TestGapCheck:
         assert not ensembles._gap_settled(8, 1.0, eps)
         assert len(calls) >= 2
         assert min(min_gap_at_zero(u), min_gap_at_zero(v)) >= 0.5
+        for m in (u, v):
+            assert unitary_eigensystem(m).margin == min_gap_at_zero(m)
 
     def test_retries_exhausted(self, monkeypatch):
         draws = counted(monkeypatch, "stream_rng")

@@ -27,7 +27,7 @@ from nearcomm.gapped_log import (
     kernel_transform,
 )
 from nearcomm.linalg import HermitianMatrix, herm_exp, hermiticity_defect
-from nearcomm.spectral import center_gap, unitary_eigensystem
+from nearcomm.spectral import Eigensystem, center_gap, unitary_eigensystem
 
 
 # The envelope constant's value, pinned: the truncation orders below are
@@ -345,25 +345,25 @@ class TestGappedLog:
 
     def test_matches_direct_log(self):
         u = gen_gapped_unitary(32, 0.8, 99)
-        es, zeta, _ = center_gap(u)
+        es, gap = center_gap(u)
         order = choose_truncation(0.6, 1e-6)
         h, lc = gapped_log(es, 0.6, order)
-        oracle = direct_log(np.exp(-1j * zeta) * u.mat)
+        oracle = direct_log(np.exp(-1j * gap.center) * u.mat)
         assert operator_norm(h.mat - oracle.mat) <= lc.tail
 
     def test_exactly_hermitian(self):
         u = gen_gapped_unitary(12, 0.7, 5)
-        es, zeta, _ = center_gap(u)
+        es, gap = center_gap(u)
         h, lc = gapped_log(es, 0.35, choose_truncation(0.35, 1e-6))
         assert h.defect <= 1e-12 * 12 * lc.trunc_order
         # every exactly symmetrized result records defect 0, and measuring agrees
-        oracle = direct_log(np.exp(-1j * zeta) * u.mat)
+        oracle = direct_log(np.exp(-1j * gap.center) * u.mat)
         for m in (h, oracle):
             assert m.defect == 0.0 == hermiticity_defect(m.mat)
 
     def test_builds_its_log_once(self, monkeypatch):
         # one copy, finiteness scan and Frobenius check per log
-        es, _, gap = center_gap(gen_gapped_unitary(12, 0.7, 5))
+        es, gap = center_gap(gen_gapped_unitary(12, 0.7, 5))
         gamma = gap.half_width / 2
         built = []
         post_init = HermitianMatrix.__post_init__
@@ -377,7 +377,7 @@ class TestGappedLog:
         assert built == ["HermitianMatrix"]
 
     def test_spectrum_in_branch_window(self):
-        es, _, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))
+        es, gap = center_gap(gen_gapped_unitary(16, 0.9, 17))
         h, lc = gapped_log(es, gap.half_width / 2, choose_truncation(gap.half_width / 2, 1e-6))
         w = np.linalg.eigvalsh(h.mat)
         assert np.all(w > gap.half_width - lc.tail)
@@ -385,9 +385,9 @@ class TestGappedLog:
 
     def test_round_trip_exponential(self):
         u = gen_gapped_unitary(10, 1.1, 23)
-        es, zeta, gap = center_gap(u)
+        es, gap = center_gap(u)
         h, _ = gapped_log(es, gap.half_width / 2, choose_truncation(gap.half_width / 2, 1e-6))
-        assert operator_norm(herm_exp(h).mat - np.exp(-1j * zeta) * u.mat) <= 1e-8 * 10
+        assert operator_norm(herm_exp(h).mat - np.exp(-1j * gap.center) * u.mat) <= 1e-8 * 10
 
     def test_gap_precondition_error_carries_measurement(self):
         u = np.diag([1j, -1j])  # spectrum distance pi/2 from angle 0
@@ -409,8 +409,8 @@ class TestGappedLog:
         # exp(-i*zeta)*U; each H is within weighted_sum * r of the series in
         # the same matrix
         u = gen_gapped_unitary(16, 0.7, 41)
-        es, zeta, gap = center_gap(u)
-        plain = np.exp(-1j * zeta) * u.mat
+        es, gap = center_gap(u)
+        plain = np.exp(-1j * gap.center) * u.mat
         gamma = gap.half_width / 2
         order = choose_truncation(gamma, 1e-6)
         h_centered, lc = gapped_log(es, gamma, order)
@@ -422,9 +422,9 @@ class TestGappedLog:
 
     def test_centered_and_plain_reject_gamma_beyond_gap(self):
         u = gen_gapped_unitary(16, 0.7, 41)
-        es, zeta, gap = center_gap(u)
+        es, gap = center_gap(u)
         for gamma in (gap.half_width * (1 + 1e-9), 1.1 * gap.half_width):
-            for centered in (es, np.exp(-1j * zeta) * u.mat):
+            for centered in (es, np.exp(-1j * gap.center) * u.mat):
                 with pytest.raises(PreconditionError):
                     gapped_log(centered, gamma, 50)
 
@@ -448,9 +448,9 @@ class TestPatersonStockmeyer:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 1000])
     def test_matches_term_by_term(self, n, order):
         u = gen_gapped_unitary(n, 0.6, 100 * n + order)
-        es, zeta, gap = center_gap(u)
+        es, gap = center_gap(u)
         h, lc = gapped_log(es, gap.half_width / 2, order, series_target=np.inf)
-        t = term_by_term(np.exp(-1j * zeta) * u.mat, lc.coeffs[order + 1:])
+        t = term_by_term(np.exp(-1j * gap.center) * u.mat, lc.coeffs[order + 1:])
         series = t + t.conj().T + np.pi * np.eye(n)
         bound = lc.weighted_sum() * es.residual + 1e-13 * np.sum(np.abs(lc.coeffs))
         assert operator_norm(h.mat - series) <= bound
@@ -467,6 +467,12 @@ class TestDirectLog:
     def test_identity_hits_branch_point(self):
         with pytest.raises(BranchPointError):
             direct_log(np.eye(3))
+        # an angle exactly at 0 has margin 0, which the message names
+        es = Eigensystem(np.array([0.0, 1.0]), np.eye(2))
+        assert es.margin == 0.0
+        with pytest.raises(BranchPointError,
+                           match=r"^eigenangle within 0\.000e\+00 of the branch point at angle 0$"):
+            direct_log(es)
 
     def test_diagonal(self):
         u = np.diag([np.exp(1j), np.exp(2j)])
@@ -475,8 +481,8 @@ class TestDirectLog:
 
     def test_round_trip(self):
         u = gen_gapped_unitary(14, 0.5, 31)
-        _, zeta, _ = center_gap(u)
-        centered = np.exp(-1j * zeta) * u.mat
+        _, gap = center_gap(u)
+        centered = np.exp(-1j * gap.center) * u.mat
         h = direct_log(centered)
         assert operator_norm(herm_exp(h).mat - centered) <= 1e-8 * 14
 

@@ -42,7 +42,7 @@ def test_all_is_the_public_api_and_resolves():
         assert getattr(nearcomm, name) is not None
 
 
-def test_pipeline_options_are_the_three_knobs():
-    # the tolerances are module constants, not options
+def test_pipeline_options_are_the_two_knobs():
+    # the tolerances and the sweep budget are module constants, not options
     names = tuple(f.name for f in dataclasses.fields(nearcomm.PipelineOptions))
-    assert names == ("min_gap", "series_target", "max_sweeps")
+    assert names == ("min_gap", "series_target")

@@ -44,7 +44,6 @@ from nearcomm import (
 )
 from nearcomm.ensembles import random_hermitian_unit_norm
 from nearcomm.gapped_log import LaurentCoefficients
-from nearcomm.pipeline import log_commutator_bound
 from nearcomm.spectral import Eigensystem, center_gap
 
 # the package re-exports the function gapped_log under its module's name
@@ -65,33 +64,38 @@ def single_term_coefficients() -> LaurentCoefficients:
 
 
 class TestLogCommutatorBound:
-    def test_zero_epsilon(self):
-        lc = laurent_coefficients(0.5, 50)
-        report = log_commutator_bound(lc, lc, 0.0)
-        assert report.predicted == 0.0
+    """The bound report: alpha_emp = W_u*W_v and predicted = |[U, V]|*alpha_emp."""
 
-    def test_single_term_hand_value(self):
+    def test_zero_epsilon(self):
+        res = near_commuting_unitaries(np.array([[np.exp(2.1j)]]), np.array([[np.exp(0.7j)]]))
+        assert res.comm_before == res.flat()["epsilon"] == 0.0
+        assert res.bound.predicted == 0.0
+
+    def test_single_term_hand_value(self, monkeypatch):
         # sum |j| |c_j| = 2 per set, so alpha = 2 * 2 = 4
-        lc = single_term_coefficients()
-        report = log_commutator_bound(lc, lc, 0.5)
-        assert report.alpha_emp == pytest.approx(4.0, abs=1e-14)
-        assert report.predicted == pytest.approx(2.0, abs=1e-14)
+        monkeypatch.setattr(pipeline, "_certifying_coefficients",
+                            lambda es, target: single_term_coefficients())
+        res = near_commuting_unitaries(*gen_almost_commuting_pair(6, 1.0, 1e-3, 23)[:2])
+        assert res.bound.alpha_emp == pytest.approx(4.0, abs=1e-14)
+        assert res.bound.predicted == res.comm_before * res.bound.alpha_emp
+        assert res.flat()["epsilon"] == res.comm_before > 0
 
     def test_alpha_scales_inverse_gamma(self):
         # sum_k |k||c_k| = 2 sum_k |X(gamma k)| behaves like const/gamma, so
         # alpha over two equal sets should fit a log-log slope near -2
         gammas = np.array([0.2, 0.3, 0.5, 0.8])
-        alphas = []
-        for g in gammas:
-            lc = laurent_coefficients(float(g), 2000)
-            alphas.append(log_commutator_bound(lc, lc, 1.0).alpha_emp)
+        alphas = [laurent_coefficients(float(g), 2000).weighted_sum() ** 2 for g in gammas]
         slope = np.polyfit(np.log(gammas), np.log(alphas), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.4)
 
     def test_normalized_constant(self):
-        lc = single_term_coefficients()
-        report = log_commutator_bound(lc, lc, 1.0, delta1=0.5, delta2=0.25)
-        assert report.alpha_normalized == pytest.approx(4.0 * 0.5 * 0.25)
+        # flat() rescales alpha_emp by the two gap half-widths, in that order
+        res = near_commuting_unitaries(*gen_almost_commuting_pair(4, 1.0, 1e-3, 19)[:2])
+        flat = res.flat()
+        gaps = (res.gap1.half_width, res.gap2.half_width)
+        assert flat["alpha_normalized"] == res.bound.alpha_emp * gaps[0] * gaps[1]
+        assert (flat["delta1"], flat["delta2"]) == gaps
+        assert (flat["zeta1"], flat["zeta2"]) == (res.gap1.center, res.gap2.center)
 
 
 class TestPipelineOptions:
@@ -106,28 +110,6 @@ class TestPipelineOptions:
 
     def test_zero_min_gap_allowed(self):
         assert PipelineOptions(min_gap=0.0).min_gap == 0.0
-
-    @pytest.mark.parametrize("max_sweeps", [0, -1, 2.5, float("nan")])
-    def test_rejects_bad_max_sweeps_at_construction(self, max_sweeps):
-        with pytest.raises(InvalidInputError, match="max_sweeps"):
-            PipelineOptions(max_sweeps=max_sweeps)
-
-    def test_bad_max_sweeps_never_reaches_center_gap(self, monkeypatch):
-        calls = []
-        real = pipeline.center_gap
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "center_gap", counted)
-        u, v = gen_voiculescu_pair(16)
-        with pytest.raises(InvalidInputError, match="max_sweeps"):
-            near_commuting_unitaries(u, v, PipelineOptions(min_gap=0.3, max_sweeps=0))
-        assert calls == []
-        with pytest.raises(GapTooSmallError):
-            near_commuting_unitaries(u, v, PipelineOptions(min_gap=0.3, max_sweeps=1))
-        assert len(calls) == 2
 
 
 class TestNearCommutingUnitaries:
@@ -179,7 +161,8 @@ class TestNearCommutingUnitaries:
         res = near_commuting_unitaries(u, v)
         before = operator_norm(
             commutator(
-                np.exp(-1j * res.zeta1) * res.x.mat, np.exp(-1j * res.zeta2) * res.y.mat
+                np.exp(-1j * res.gap1.center) * res.x.mat,
+                np.exp(-1j * res.gap2.center) * res.y.mat,
             )
         )
         assert abs(before - res.comm_after) <= 1e-14
@@ -191,11 +174,11 @@ class TestNearCommutingUnitaries:
         assert res.comm_after == 0.0
         assert res.dist_u + res.dist_v <= 1e-6
 
-    def test_unconverged_is_flagged_but_commuting(self):
+    def test_unconverged_is_flagged_but_commuting(self, monkeypatch):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 5e-2, 13)
-        opts = PipelineOptions(max_sweeps=1)
-        res = near_commuting_unitaries(u, v, opts)
-        assert not res.converged
+        monkeypatch.setattr(jointdiag, "MAX_SWEEPS", 1)
+        res = near_commuting_unitaries(u, v)
+        assert res.sweeps == 1 and not res.converged
         assert res.comm_after <= 1e-10 * 8
 
     def test_output_unitarity_defect_is_numerical_failure(self, monkeypatch, tmp_path, capsys):
@@ -245,11 +228,13 @@ class TestNearCommutingUnitaries:
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 5)
         res = near_commuting_unitaries(u, v)
         for w, gamma in ((u, res.gamma1), (v, res.gamma2)):
-            es, _, gap = center_gap(w)
-            assert gamma == np.min(np.abs(spectral.wrap_to_pi(es.angles)))
+            es, gap = center_gap(w)
+            assert gamma == es.margin == np.min(np.abs(spectral.wrap_to_pi(es.angles)))
             assert gap.half_width / 2 < gamma <= gap.half_width * (1 + 1e-12)
         # a scalar's centered angle is pi, where the coefficients need gamma < pi
-        res = near_commuting_unitaries(np.array([[np.exp(2.1j)]]), np.array([[1.0 + 0j]]))
+        scalar = np.array([[np.exp(2.1j)]])
+        assert center_gap(scalar)[0].margin == pytest.approx(np.pi, abs=1e-15)
+        res = near_commuting_unitaries(scalar, np.array([[1.0 + 0j]]))
         assert res.gamma1 == res.gamma2 == np.nextafter(np.pi, 0)
 
     def test_flat_summary_keys(self):
@@ -261,7 +246,8 @@ class TestNearCommutingUnitaries:
 
 
 class TestPipelineGates:
-    """Each numerical gate fires, with its own message, on a bound understated to it."""
+    """Each numerical gate fires, with its own message, on a bound understated to it,
+    and lets through what each term of its bound pays for."""
 
     @staticmethod
     def pair():
@@ -269,9 +255,9 @@ class TestPipelineGates:
 
     def test_log_commutator_gate(self, monkeypatch, tmp_path, capsys):
         u, v = self.pair()
-        real = pipeline.log_commutator_bound
-        monkeypatch.setattr(pipeline, "log_commutator_bound",
-                            lambda *args: dataclasses.replace(real(*args), predicted=0.0))
+        real = pipeline.BoundReport
+        monkeypatch.setattr(pipeline, "BoundReport",
+                            lambda **fields: real(**{**fields, "predicted": 0.0}))
         with pytest.raises(NumericalError, match="log commutator .* exceeds predicted bound"):
             near_commuting_unitaries(u, v)
         u_path, v_path = tmp_path / "u.mtxc", tmp_path / "v.mtxc"
@@ -298,15 +284,64 @@ class TestPipelineGates:
         real, calls = pipeline.center_gap, []
 
         def shifted(u):
-            es, zeta, gap = real(u)
+            es, gap = real(u)
             if len(calls) == which:
                 es = Eigensystem(es.angles + 0.05, es.basis, es.residual)
             calls.append(u)
-            return es, zeta, gap
+            return es, gap
 
         monkeypatch.setattr(pipeline, "center_gap", shifted)
         with pytest.raises(NumericalError, match=f"distance to {name} exceeds"):
             near_commuting_unitaries(*self.pair())
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_turned_eigenbasis_passes_on_its_recorded_residual(self, monkeypatch, which):
+        # U's (which 0) or V's eigenbasis turned by 1e-6 in one plane, with
+        # the reconstruction residual that costs recorded honestly: the held
+        # logs and outputs move by ~1e-6, which only the gates' slack and
+        # residual terms forgive
+        n, turned_diag = 3, np.diag(np.exp(1j * np.array([1.0, 2.5, 4.0])))
+        real, calls = pipeline.center_gap, []
+
+        def turned(m):
+            es, gap = real(m)
+            if len(calls) % 2 == which:
+                rot = np.eye(n, dtype=complex)
+                rot[:2, :2] = [[np.cos(1e-6), -np.sin(1e-6)], [np.sin(1e-6), np.cos(1e-6)]]
+                basis = es.basis @ rot
+                rebuilt = linalg.unitary_from_angles(basis, es.angles + gap.center)
+                es = Eigensystem(es.angles, basis, 2.0 * operator_norm(rebuilt - m))
+            calls.append(m)
+            return es, gap
+
+        monkeypatch.setattr(pipeline, "center_gap", turned)
+
+        def run(partner):
+            return near_commuting_unitaries(
+                *((turned_diag, partner) if which == 0 else (partner, turned_diag)))
+
+        # a diagonal partner: the logs' commutator is above epsilon*alpha by
+        # far more than rounding
+        res = run(np.diag(np.exp(1j * np.array([1.5, 3.0, 5.0]))))
+        assert res.bound.measured_log_comm > res.bound.predicted + 1e-12 * n
+        # a scalar partner's log commutes with any: A' is the held log, and
+        # the distance to the input is the recorded residual's alone
+        res = run(np.exp(2j) * np.eye(n))
+        assert (res.dist_u - res.herm_dist_a, res.dist_v - res.herm_dist_b)[which] > 1e-10 * n
+
+    def test_log_commutator_gate_forgives_rounding(self, monkeypatch):
+        # an exactly commuting pair whose eigensystems claim residual 0, so
+        # the slack is 0: the logs' commutator, formed in rounding, still
+        # exceeds epsilon*alpha (by 1.9e-15), which the 1e-12*n term forgives
+        rng = stream_rng(6, 8)
+        q = haar_unitary(8, rng)
+        u, v = (linalg.unitary_from_angles(q, rng.uniform(1.0, 2 * np.pi - 1.0, 8))
+                for _ in range(2))
+        real = pipeline.center_gap
+        monkeypatch.setattr(pipeline, "center_gap", lambda m: (
+            lambda es, gap: (Eigensystem(es.angles, es.basis, 0.0), gap))(*real(m)))
+        res = near_commuting_unitaries(u, v)
+        assert res.bound.predicted < res.bound.measured_log_comm <= res.bound.predicted + 1e-12 * 8
 
 
 def _counting(monkeypatch, owner, name):
@@ -492,7 +527,7 @@ def edge_inputs(draw):
     mode = draw(st.sampled_from(["default", "above", "at"]))
     if mode == "default":
         return u, v, PipelineOptions().min_gap, False
-    gap = min(center_gap(m)[2].half_width for m in (u, v))
+    gap = min(center_gap(m)[1].half_width for m in (u, v))
     return u, v, (math.nextafter(gap, 0.0) if mode == "above" else gap), mode == "at"
 
 
@@ -647,7 +682,7 @@ class TestDecompositionCounts:
     def test_gapped_log_on_centered_input_decomposes_nothing(
         self, schur_calls, eigvalsh_calls, eigh_calls
     ):
-        es, _, gap = center_gap(gen_gapped_unitary(8, 1.0, 3))
+        es, gap = center_gap(gen_gapped_unitary(8, 1.0, 3))
         schur_calls.clear()
         eigvalsh_calls.clear()
         eigh_calls.clear()
@@ -711,11 +746,10 @@ class TestHardFamily:
     def test_bounded_work_and_commuting_output(self):
         n = 16
         u, v = tridiagonal_family(n)
-        opts = PipelineOptions()
-        res = near_commuting_unitaries(u, v, opts)
+        res = near_commuting_unitaries(u, v)
         assert res.comm_after <= linalg.COMMUTE_TOL * n
-        assert res.sweeps <= opts.max_sweeps
-        assert res.converged or res.sweeps == opts.max_sweeps
+        assert res.sweeps <= jointdiag.MAX_SWEEPS
+        assert res.converged or res.sweeps == jointdiag.MAX_SWEEPS
 
 
 def _load_tracing():

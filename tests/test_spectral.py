@@ -438,9 +438,8 @@ class TestLargestGap:
 class TestCenterGap:
     def test_already_centered_unchanged(self):
         u = np.diag([np.exp(1j * np.pi / 2), np.exp(-1j * np.pi / 2)])
-        es, zeta, gap = center_gap(u)
-        assert zeta == 0.0
-        assert np.array_equal(np.exp(-1j * zeta) * u, u)
+        es, gap = center_gap(u)
+        assert gap.center == 0.0
         plain = unitary_eigensystem(u)
         assert np.array_equal(es.angles, plain.angles)
         assert np.array_equal(es.basis, plain.basis)
@@ -449,48 +448,52 @@ class TestCenterGap:
         # angles {0, pi/2}: arcs (0, pi/2) and (pi/2, 2pi); the latter has
         # length 3pi/2 and center 5pi/4
         u = np.diag([1.0, np.exp(1j * np.pi / 2)])
-        es, zeta, gap = center_gap(u)
-        assert zeta == pytest.approx(5 * np.pi / 4, abs=1e-12)
-        assert np.allclose(rebuild(es), np.exp(-1j * zeta) * u, atol=1e-15)
+        es, gap = center_gap(u)
+        assert gap.center == pytest.approx(5 * np.pi / 4, abs=1e-12)
+        assert np.allclose(rebuild(es), np.exp(-1j * gap.center) * u, atol=1e-15)
         assert np.allclose(es.angles, [3 * np.pi / 4, 5 * np.pi / 4], atol=1e-15)
-        assert gap.center == pytest.approx(0.0, abs=1e-12)
+        assert es.margin == pytest.approx(3 * np.pi / 4, abs=1e-12)
+        # the gap as found on U: the arc from pi/2 round to 0
+        assert (gap.lo, gap.hi) == pytest.approx((np.pi / 2, 0.0), abs=1e-12)
         assert gap.half_width == pytest.approx(3 * np.pi / 4, abs=1e-12)
 
     def test_idempotent(self):
         u = gen_gapped_unitary(10, 0.6, 21)
-        _, zeta1, gap1 = center_gap(u)
-        _, zeta2, gap2 = center_gap(np.exp(-1j * zeta1) * u.mat)
-        assert abs(wrap_to_pi(zeta2)) <= 1e-12
+        _, gap1 = center_gap(u)
+        _, gap2 = center_gap(np.exp(-1j * gap1.center) * u.mat)
+        assert abs(wrap_to_pi(gap2.center)) <= 1e-12
         assert gap2.half_width == pytest.approx(gap1.half_width, abs=1e-10)
 
     def test_tied_arcs_report_the_centered_arc(self):
         # five equally spaced eigenvalues leave five arcs of equal length;
         # the returned gap must be the one moved to angle 0, not another tie
         u = np.exp(0.3j) * gen_voiculescu_pair(5)[0].mat
-        es, zeta, gap = center_gap(u)
-        assert gap.center == 0.0
+        es, gap = center_gap(u)
+        assert gap.center == pytest.approx(0.3 + np.pi / 5, abs=1e-12)
         assert gap.half_width == pytest.approx(np.pi / 5, abs=1e-12)
-        for angles in (es.angles, unitary_eigensystem(np.exp(-1j * zeta) * u).angles):
+        for angles in (es.angles, unitary_eigensystem(np.exp(-1j * gap.center) * u).angles):
             assert np.min(np.abs(wrap_to_pi(angles))) >= gap.half_width - 1e-12
 
     def test_carries_the_rotated_eigensystem(self):
         # the phase moves the gap away from 0, so the shift reorders the angles
         u = np.exp(2j) * gen_gapped_unitary(12, 0.5, 7).mat
-        es, zeta, gap = center_gap(u)
+        es, gap = center_gap(u)
         plain = unitary_eigensystem(u)
         assert isinstance(es, Eigensystem)
         assert np.all(np.diff(es.angles) >= 0)
         assert np.all((es.angles >= 0) & (es.angles < TWO_PI))
-        assert np.min(np.abs(wrap_to_pi(es.angles))) == pytest.approx(gap.half_width, abs=1e-12)
-        assert np.allclose(np.sort(np.mod(plain.angles - zeta, TWO_PI)), es.angles, atol=1e-15)
+        assert es.margin == np.min(np.abs(wrap_to_pi(es.angles)))
+        assert es.margin == pytest.approx(gap.half_width, abs=1e-12)
+        shifted = np.sort(np.mod(plain.angles - gap.center, TWO_PI))
+        assert np.allclose(shifted, es.angles, atol=1e-15)
         assert es.residual == plain.residual > 0.0
-        assert operator_norm(rebuild(es) - np.exp(-1j * zeta) * u) <= es.residual + 1e-14
+        assert operator_norm(rebuild(es) - np.exp(-1j * gap.center) * u) <= es.residual + 1e-14
 
     def test_spectrum_avoids_centered_gap(self):
         for seed in range(5):
             u = haar_unitary(9, stream_rng(100, seed))
-            _, zeta, gap = center_gap(u)
-            es = unitary_eigensystem(np.exp(-1j * zeta) * u)
+            _, gap = center_gap(u)
+            es = unitary_eigensystem(np.exp(-1j * gap.center) * u)
             assert np.min(np.abs(wrap_to_pi(es.angles))) > gap.half_width - 1e-10
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -504,10 +507,10 @@ class TestCenterGap:
         # center_gap(e^{i*alpha} U) finds the same gap moved by alpha and
         # the same centered matrix
         u = gen_gapped_unitary(n, delta, seed).mat
-        es, zeta, gap = center_gap(u)
-        es_a, zeta_a, gap_a = center_gap(np.exp(1j * alpha) * u)
+        es, gap = center_gap(u)
+        es_a, gap_a = center_gap(np.exp(1j * alpha) * u)
         assert gap_a.half_width == pytest.approx(gap.half_width, abs=1e-12)
-        assert abs(wrap_to_pi(zeta_a - zeta - alpha)) <= 1e-12
+        assert abs(wrap_to_pi(gap_a.center - gap.center - alpha)) <= 1e-12
         slack = es.residual + es_a.residual + 1e-13
         assert operator_norm(rebuild(es) - rebuild(es_a)) <= slack
 

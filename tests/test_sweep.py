@@ -120,6 +120,9 @@ class TestRunSweep:
         assert float(row[CSV_FIELDS.index("dist_u")]) == records[0].dist_u
         assert float(row[CSV_FIELDS.index("eps_actual")]) == records[0].eps_actual
         assert row[CSV_FIELDS.index("converged")] in ("0", "1")
+        # a checked result names no failure: the last column is empty
+        assert CSV_FIELDS[-1] == "failure" and records[0].failure == ""
+        assert all(line.endswith(",") for line in lines[2:])
 
     def test_records_order_matches_config(self):
         records = run_sweep(small_config())
@@ -145,6 +148,7 @@ class TestRunSweep:
         for rec in records:
             assert math.isnan(rec.dist_u) and not rec.converged
             assert math.isfinite(rec.eps_actual)
+            assert rec.failure == "NumericalError"
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
         assert len(rows) == 4
         assert all(row.split(",")[CSV_FIELDS.index("dist_u")] == "nan" for row in rows)
