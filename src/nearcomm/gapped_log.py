@@ -103,15 +103,6 @@ class LaurentCoefficients:
             raise InvalidInputError(f"|k| = {abs(k)} beyond truncation order {self.trunc_order}")
         return complex(self.coeffs[self.trunc_order + k])
 
-    def weighted_sum(self) -> float:
-        """Bound on sum_all k |k| |c_k|, the series' commutator amplification factor.
-
-        The sum over |k| <= K plus the envelope's remainder
-        sum_{|k|>K} |k| C/(gamma^3 k^4) <= C/(gamma^3 K^2) = 1.5 K tail.
-        """
-        k = np.arange(-self.trunc_order, self.trunc_order + 1)
-        return float(np.sum(np.abs(k) * np.abs(self.coeffs))) + 1.5 * self.trunc_order * self.tail
-
     def evaluate(self, theta) -> np.ndarray:
         """g_K(theta) = pi + 2 Re sum_{k=1..K} c_k e^{ik*theta}, elementwise.
 
@@ -165,6 +156,18 @@ def _envelope_tail(gamma: float, order: int) -> float:
     return 2.0 * (ENVELOPE_CONSTANT / gamma**2) / (3.0 * gamma * order**3)
 
 
+def weighted_sum(gamma: float, order: int) -> float:
+    """Bound on W = sum_all k |k| |c_k|, the series' commutator amplification factor.
+
+    |k| |c_k| = |X(gamma*k)|, so no coefficient table is formed: W is
+    2 sum_{k=1..K} |X(gamma*k)| plus the envelope's remainder
+    sum_{|k|>K} |k| C/(gamma^3 k^4) <= C/(gamma^3 K^2) = 1.5 K tail.
+    K is an int, as choose_truncation returns.
+    """
+    damp = kernel_transform(gamma, np.arange(1, order + 1))
+    return 2.0 * float(np.sum(np.abs(damp))) + 1.5 * order * _envelope_tail(gamma, order)
+
+
 def choose_truncation(gamma: float, target: float) -> int:
     """Smallest K with _envelope_tail(gamma, K) <= target.
 
@@ -190,10 +193,6 @@ def choose_truncation(gamma: float, target: float) -> int:
     return k
 
 
-# perfbench's frozen tracer wraps pipeline.certified_truncation and cli.certified_truncation
-certified_truncation = choose_truncation
-
-
 def gapped_log(
     u,
     gamma: float,
@@ -208,7 +207,7 @@ def gapped_log(
     exactly Hermitian by hermitian_part, H = (M + M^H)/2 with defect 0.
     An Eigensystem, such as the one center_gap returns, is used as given;
     any other input is decomposed here. H is thus g_K of the reconstruction
-    U~ = Z e^{i*Theta} Z^H, within weighted_sum() * r of the series in U
+    U~ = Z e^{i*Theta} Z^H, within weighted_sum(gamma, K) * r of the series in U
     for any r >= |U~ - U|, such as the eigensystem's residual.
     """
     es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GapTooSmallError, InvalidInputError, NumericalError
-from .gapped_log import LaurentCoefficients, certified_truncation, direct_log, laurent_coefficients
+from .gapped_log import _envelope_tail, direct_log, weighted_sum
 from .jointdiag import nearest_commuting_pair
 from .linalg import (
     COMMUTE_TOL,
@@ -26,8 +26,8 @@ from .linalg import (
     operator_norm,
     unitary_from_angles,
 )
-# not called here: bound only because perfbench's tracer looks up these two names
-from .gapped_log import gapped_log  # noqa: F401
+# bound under the names perfbench's tracer looks up; only certified_truncation is called here
+from .gapped_log import choose_truncation as certified_truncation, gapped_log  # noqa: F401
 from .linalg import herm_exp  # noqa: F401
 from .spectral import Eigensystem, GapInfo, center_gap
 
@@ -55,7 +55,7 @@ class BoundReport:
     [U^j, V^k] is a sum of |j||k| conjugated copies of [U, V], so the series
     logs' commutator is at most predicted = epsilon*alpha_emp, epsilon =
     |[U, V]| (PipelineResult.comm_before), alpha_emp = W_u*W_v the product of
-    the full sums W = sum_k |k||c_k| (LaurentCoefficients.weighted_sum).
+    the full sums W = sum_k |k||c_k| (gapped_log.weighted_sum).
     measured_log_comm, the held logs' commutator, is checked against it.
     """
 
@@ -70,7 +70,7 @@ class PipelineResult:
 
     gap1, gap2 are the largest gaps found on U and V; each input was
     centered at its gap's center, zeta = gap.center. tail1, tail2 bound
-    each coefficient set's remainder past trunc_order1, trunc_order2; they
+    each series' remainder past trunc_order1, trunc_order2; they
     enter only W's certified remainder, not the logs.
     """
 
@@ -104,7 +104,6 @@ class PipelineResult:
             "dist_v": self.dist_v,
             "comm_before": self.comm_before,
             "comm_after": self.comm_after,
-            "epsilon": self.comm_before,
             "alpha_emp": self.bound.alpha_emp,
             "alpha_normalized": self.bound.alpha_emp * self.gap1.half_width * self.gap2.half_width,
             "predicted_bound": self.bound.predicted,
@@ -130,13 +129,14 @@ class PipelineResult:
         }
 
 
-def _certifying_coefficients(es: Eigensystem, target: float) -> LaurentCoefficients:
-    """The coefficients at gamma = min |theta| that certify direct_log(es).
+def _certificate(es: Eigensystem, target: float) -> tuple[float, int, float, float]:
+    """(gamma, K, tail, W) of the series at gamma = min |theta| that certifies direct_log(es).
 
     gamma is kept below pi, which a scalar's theta = pi reaches.
     """
     gamma = min(es.margin, math.nextafter(math.pi, 0))
-    return laurent_coefficients(gamma, certified_truncation(gamma, target))
+    order = certified_truncation(gamma, target)
+    return gamma, order, _envelope_tail(gamma, order), weighted_sum(gamma, order)
 
 
 def near_commuting_unitaries(
@@ -159,7 +159,7 @@ def near_commuting_unitaries(
     the full series in the reconstruction U~ = Z e^{i*Theta} Z^H, not in
     U_c; r_u >= |U~ - U_c| is the certified bound on that residual which
     the eigensystem carries, es_u.residual below. The coefficients enter
-    only through W_u = sum_all |k||c_k| (LaurentCoefficients.weighted_sum).
+    only through W_u = sum_all |k||c_k| (gapped_log.weighted_sum).
     The joint diagonalization returns the common basis Q and the diagonals
     a, b of A' and B'. No matrix is decomposed again and no series is
     summed: X = Q diag(e^{i(a + zeta1)}) Q^H = e^{i*zeta1} exp(iA') and Y
@@ -199,11 +199,10 @@ def near_commuting_unitaries(
         )
 
     log_u, log_v = direct_log(es_u), direct_log(es_v)
-    coeffs_u = _certifying_coefficients(es_u, opts.series_target)
-    coeffs_v = _certifying_coefficients(es_v, opts.series_target)
+    gamma1, order1, tail1, w_u = _certificate(es_u, opts.series_target)
+    gamma2, order2, tail2, w_v = _certificate(es_v, opts.series_target)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
-    w_u, w_v = coeffs_u.weighted_sum(), coeffs_v.weighted_sum()
     alpha = w_u * w_v
     bound = BoundReport(alpha_emp=alpha, predicted=eps * alpha, measured_log_comm=measured_log_comm)
     err_u, err_v = w_u * es_u.residual, w_v * es_v.residual
@@ -255,12 +254,12 @@ def near_commuting_unitaries(
         exp_dist_b=exp_dist_b,
         gap1=gap1,
         gap2=gap2,
-        gamma1=coeffs_u.gamma,
-        gamma2=coeffs_v.gamma,
-        trunc_order1=coeffs_u.trunc_order,
-        trunc_order2=coeffs_v.trunc_order,
-        tail1=coeffs_u.tail,
-        tail2=coeffs_v.tail,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        trunc_order1=order1,
+        trunc_order2=order2,
+        tail1=tail1,
+        tail2=tail2,
         converged=pair.converged,
         sweeps=pair.sweeps,
     )

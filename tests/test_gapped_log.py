@@ -12,19 +12,21 @@ from nearcomm import (
     PreconditionError,
     TruncationError,
     choose_truncation,
+    cli,
     direct_log,
     evaluate_smoothed_sawtooth,
     gapped_log,
     gen_gapped_unitary,
     laurent_coefficients,
     operator_norm,
+    pipeline,
 )
 from nearcomm.gapped_log import (
     ENVELOPE_CONSTANT,
     MAX_TRUNCATION_ORDER,
     _envelope_tail,
-    certified_truncation,
     kernel_transform,
+    weighted_sum,
 )
 from nearcomm.linalg import HermitianMatrix, herm_exp, hermiticity_defect
 from nearcomm.spectral import Eigensystem, center_gap, unitary_eigensystem
@@ -172,10 +174,19 @@ class TestSmoothedCoefficients:
         k = np.arange(1, m + 1)
         full = 2.0 * np.sum(np.abs(kernel_transform(gamma, k))) + float(C) / (gamma**3 * m**2)
         lc = laurent_coefficients(gamma, order)
-        assert lc.weighted_sum() >= full
+        assert weighted_sum(gamma, order) >= full
         k = np.arange(-order, order + 1)
-        assert lc.weighted_sum() == pytest.approx(
+        assert weighted_sum(gamma, order) == pytest.approx(
             np.sum(np.abs(k) * np.abs(lc.coeffs)) + 1.5 * order * lc.tail, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("order", [1, 26, 25_880, 517_596])
+    def test_weighted_sum_equals_the_table(self, gamma, order):
+        # the table's sum_{|k| <= K} |k||c_k| plus 1.5 K tail is the reference
+        lc = laurent_coefficients(gamma, order)
+        k = np.arange(-order, order + 1)
+        ref = float(np.sum(np.abs(k) * np.abs(lc.coeffs))) + 1.5 * order * lc.tail
+        assert abs(weighted_sum(gamma, order) - ref) <= 8 * np.finfo(float).eps * ref
 
     def test_order_above_the_cap_rejected_before_allocating(self):
         # 10^12 orders would take 96 TB; the check comes first
@@ -329,8 +340,8 @@ class TestTruncationCap:
 
 class TestCertifiedTruncation:
     def test_is_choose_truncation(self):
-        # an alias, bound under this name for the benchmark's tracer
-        assert certified_truncation is choose_truncation
+        # bound under this name in the two modules the benchmark's tracer wraps
+        assert pipeline.certified_truncation is cli.certified_truncation is choose_truncation
 
 class TestGappedLog:
     def test_diagonal_example(self):
@@ -417,7 +428,8 @@ class TestGappedLog:
         h_plain, _ = gapped_log(plain, gamma, order)
         r_centered = es.residual
         r_plain = unitary_eigensystem(plain).residual
-        bound = lc.weighted_sum() * (r_centered + r_plain) + 1e-13 * np.sum(np.abs(lc.coeffs))
+        bound = (weighted_sum(gamma, order) * (r_centered + r_plain)
+                 + 1e-13 * np.sum(np.abs(lc.coeffs)))
         assert operator_norm(h_centered.mat - h_plain.mat) <= bound
 
     def test_centered_and_plain_reject_gamma_beyond_gap(self):
@@ -452,13 +464,13 @@ class TestPatersonStockmeyer:
         h, lc = gapped_log(es, gap.half_width / 2, order, series_target=np.inf)
         t = term_by_term(np.exp(-1j * gap.center) * u.mat, lc.coeffs[order + 1:])
         series = t + t.conj().T + np.pi * np.eye(n)
-        bound = lc.weighted_sum() * es.residual + 1e-13 * np.sum(np.abs(lc.coeffs))
+        bound = weighted_sum(lc.gamma, order) * es.residual + 1e-13 * np.sum(np.abs(lc.coeffs))
         assert operator_norm(h.mat - series) <= bound
 
     def test_narrow_gap_long_series_within_tail(self):
         # gamma = 0.01 needs K = 25880 terms for the default 1e-6 target
         u = gen_gapped_unitary(16, 0.02, 7)
-        h, lc = gapped_log(u, 0.01, certified_truncation(0.01, 1e-6))
+        h, lc = gapped_log(u, 0.01, choose_truncation(0.01, 1e-6))
         assert lc.trunc_order == 25880
         assert operator_norm(h.mat - direct_log(u).mat) <= lc.tail
 

@@ -5,6 +5,7 @@ import pytest
 
 from nearcomm import (
     InvalidInputError,
+    choose_truncation,
     commutator,
     gapped_log,
     gen_almost_commuting_pair,
@@ -14,7 +15,6 @@ from nearcomm import (
     haar_unitary,
     stream_rng,
 )
-from nearcomm.gapped_log import certified_truncation
 from nearcomm.linalg import HermitianMatrix
 from nearcomm.spectral import center_gap
 from nearcomm.jointdiag import _newton_generator, _off
@@ -68,7 +68,7 @@ def series_logs(n, eps, seed):
     for m in gen_almost_commuting_pair(n, 1.0, eps, seed)[:2]:
         centered, gap = center_gap(m)
         gamma = gap.half_width / 2.0
-        logs.append(gapped_log(centered, gamma, certified_truncation(gamma, 1e-6))[0].mat)
+        logs.append(gapped_log(centered, gamma, choose_truncation(gamma, 1e-6))[0].mat)
     return logs
 
 

@@ -1,6 +1,7 @@
 """Matrix substrate: operator norm, commutators, Hermitian exponential, defects."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,13 @@ class TestGramNorm:
             e = np.array(e, dtype=complex)
             assert np.isnan(np.linalg.norm(e, 2))
             assert np.isnan(gated_norm(e, 1.0))
+
+    def test_infinite_entry_gives_nan_before_dividing(self):
+        # without the early return, A/s forms inf/inf with a RuntimeWarning
+        e = np.array([[np.inf, 0], [0, 1]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_spectral_norm(e))
 
     def test_exact_on_a_scalar(self):
         assert unitarity_defect(np.array([[2.0]])) == 3.0

@@ -32,7 +32,6 @@ from nearcomm import (
     gen_voiculescu_pair,
     haar_unitary,
     jointdiag,
-    laurent_coefficients,
     linalg,
     mtxc,
     near_commuting_unitaries,
@@ -43,7 +42,7 @@ from nearcomm import (
     stream_rng,
 )
 from nearcomm.ensembles import random_hermitian_unit_norm
-from nearcomm.gapped_log import LaurentCoefficients
+from nearcomm.gapped_log import LaurentCoefficients, weighted_sum
 from nearcomm.spectral import Eigensystem, center_gap
 
 # the package re-exports the function gapped_log under its module's name
@@ -52,15 +51,9 @@ gapped_log_module = importlib.import_module("nearcomm.gapped_log")
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
-def single_term_coefficients() -> LaurentCoefficients:
-    """c_{-1} = -i, c_0 = 0, c_1 = i; weighted sum 2."""
-    return LaurentCoefficients(
-        gamma=1.0,
-        trunc_order=1,
-        coeffs=np.array([-1j, 0.0, 1j]),
-        c_emp=1.0,
-        tail=0.0,
-    )
+def single_term_certificate(es, target) -> tuple[float, int, float, float]:
+    """(gamma, K, tail, W) of c_{-1} = -i, c_0 = 0, c_1 = i: weighted sum 2."""
+    return 1.0, 1, 0.0, 2.0
 
 
 class TestLogCommutatorBound:
@@ -68,23 +61,22 @@ class TestLogCommutatorBound:
 
     def test_zero_epsilon(self):
         res = near_commuting_unitaries(np.array([[np.exp(2.1j)]]), np.array([[np.exp(0.7j)]]))
-        assert res.comm_before == res.flat()["epsilon"] == 0.0
+        assert res.comm_before == res.flat()["comm_before"] == 0.0
         assert res.bound.predicted == 0.0
 
     def test_single_term_hand_value(self, monkeypatch):
         # sum |j| |c_j| = 2 per set, so alpha = 2 * 2 = 4
-        monkeypatch.setattr(pipeline, "_certifying_coefficients",
-                            lambda es, target: single_term_coefficients())
+        monkeypatch.setattr(pipeline, "_certificate", single_term_certificate)
         res = near_commuting_unitaries(*gen_almost_commuting_pair(6, 1.0, 1e-3, 23)[:2])
         assert res.bound.alpha_emp == pytest.approx(4.0, abs=1e-14)
         assert res.bound.predicted == res.comm_before * res.bound.alpha_emp
-        assert res.flat()["epsilon"] == res.comm_before > 0
+        assert res.flat()["comm_before"] == res.comm_before > 0
 
     def test_alpha_scales_inverse_gamma(self):
         # sum_k |k||c_k| = 2 sum_k |X(gamma k)| behaves like const/gamma, so
         # alpha over two equal sets should fit a log-log slope near -2
         gammas = np.array([0.2, 0.3, 0.5, 0.8])
-        alphas = [laurent_coefficients(float(g), 2000).weighted_sum() ** 2 for g in gammas]
+        alphas = [weighted_sum(float(g), 2000) ** 2 for g in gammas]
         slope = np.polyfit(np.log(gammas), np.log(alphas), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.4)
 
@@ -596,16 +588,22 @@ class TestDecompositionCounts:
         assert defect_calls == []
 
     def test_pair_sums_no_series(self, monkeypatch):
-        # the logs are taken exactly on the eigensystems; the coefficients
-        # only certify the commutator bound
+        # the logs are taken exactly on the eigensystems, and W, the only
+        # thing the commutator bound reads of the series, is summed on the
+        # kernel transform: no coefficient table is built or evaluated
         calls = []
-        evaluate = LaurentCoefficients.evaluate
+        evaluate, built = LaurentCoefficients.evaluate, LaurentCoefficients.__post_init__
 
         def counting(self, theta):
             calls.append(np.shape(theta))
             return evaluate(self, theta)
 
+        def counting_table(self):
+            calls.append(self.trunc_order)
+            built(self)
+
         monkeypatch.setattr(LaurentCoefficients, "evaluate", counting)
+        monkeypatch.setattr(LaurentCoefficients, "__post_init__", counting_table)
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 3)
         near_commuting_unitaries(u, v)
         assert calls == []

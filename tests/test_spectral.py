@@ -237,6 +237,11 @@ class TestCayleyProbes:
         assert log[1][0] == pytest.approx(spectral._PROBE_STEP, abs=1e-15)
         assert [failed for _, failed in log[1:]] == [False]
 
+    def test_overflowing_solve_gives_none(self):
+        # I + W has the subnormal pivot 1 - exp(1e-310j), so the solve
+        # overflows to inf without LAPACK reporting a singular matrix
+        assert spectral._cayley(np.diag([np.exp(1e-310j), -1.0]), 0.0) is None
+
     def test_repeated_eigenvalues(self):
         q = haar_unitary(6, stream_rng(2))
         angles = np.array([0.5, 0.5, 0.5, 2.0, 2.0, 4.0])

@@ -167,6 +167,16 @@ class TestSummarize:
         records = run_sweep(small_config(epsilons=(1e-2,), trials=2))
         assert math.isnan(summarize(records).slope)
 
+    def test_all_failed_group_gives_nan_medians_and_slope(self, monkeypatch):
+        def failing(u, v, opts):
+            raise NumericalError("did not converge")
+
+        monkeypatch.setattr("nearcomm.sweep.near_commuting_unitaries", failing)
+        summary = summarize(run_sweep(small_config(epsilons=(1e-2,))))
+        assert math.isnan(summary.median_eps_actual[0])
+        assert math.isnan(summary.median_distance[0])
+        assert math.isnan(summary.slope)
+
     def test_csv_no_comment_roundtrip(self):
         records = run_sweep(small_config())
         text = records_to_csv(records)
