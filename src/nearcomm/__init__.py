@@ -27,7 +27,6 @@ from .errors import (
     InvalidInputError,
     NumericalError,
     PreconditionError,
-    TruncationError,
 )
 from .gapped_log import (
     choose_truncation,
@@ -52,7 +51,6 @@ __all__ = [
     "PipelineOptions",
     "PipelineResult",
     "PreconditionError",
-    "TruncationError",
     "choose_truncation",
     "commutator",
     "direct_log",

@@ -55,8 +55,7 @@ def _cmd_log(args) -> int:
     u = _load_unitary(args.matrix)
     es, gap = center_gap(u)
     gamma = args.gamma if args.gamma is not None else gap.half_width / 2.0
-    order = certified_truncation(gamma, args.target)
-    h, lc = gapped_log(es, gamma, order, args.target)
+    h, lc = gapped_log(es, gamma, certified_truncation(gamma, args.target))
     out = args.out if args.out is not None else "log.mtxc"
     mtxc.write(out, h.mat)
     if args.coeffs is not None:

@@ -27,15 +27,6 @@ class GapTooSmallError(PreconditionError):
         self.min_gap = min_gap
 
 
-class TruncationError(PreconditionError):
-    """Certified series tail exceeds the requested target accuracy."""
-
-    def __init__(self, message: str, tail: float, target: float):
-        super().__init__(message)
-        self.tail = tail
-        self.target = target
-
-
 class BranchPointError(PreconditionError):
     """An eigenangle sits on the logarithm branch cut at angle 0."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchPointError, InvalidInputError, PreconditionError, TruncationError
+from .errors import BranchPointError, InvalidInputError, PreconditionError
 from .linalg import HermitianMatrix, _frozen, hermitian_part
 from .spectral import Eigensystem, unitary_eigensystem
 
@@ -193,18 +193,15 @@ def choose_truncation(gamma: float, target: float) -> int:
     return k
 
 
-def gapped_log(
-    u,
-    gamma: float,
-    trunc_order: int,
-    series_target: float = 1e-6,
-) -> tuple[HermitianMatrix, LaurentCoefficients]:
+def gapped_log(u, gamma: float, trunc_order: int) -> tuple[HermitianMatrix, LaurentCoefficients]:
     """Hermitian H = g_K(U) = sum_{|k|<=K} c_k U^k, K = trunc_order, with exp(iH) = U.
 
     Requires the spectrum of U to stay more than gamma away from angle 0
-    (gap centered there) and the certified tail to meet series_target.
-    g_K is summed on the eigenangles: M = Z diag(g_K(theta)) Z^H is made
-    exactly Hermitian by hermitian_part, H = (M + M^H)/2 with defect 0.
+    (gap centered there). For any valid (gamma, K) the returned tail bounds
+    |g_K(theta) - theta| on the eigenangles; choose_truncation picks the K
+    whose tail meets a target. g_K is summed on the eigenangles:
+    M = Z diag(g_K(theta)) Z^H is made exactly Hermitian by hermitian_part,
+    H = (M + M^H)/2 with defect 0.
     An Eigensystem, such as the one center_gap returns, is used as given;
     any other input is decomposed here. H is thus g_K of the reconstruction
     U~ = Z e^{i*Theta} Z^H, within weighted_sum(gamma, K) * r of the series in U
@@ -217,14 +214,6 @@ def gapped_log(
             f"smoothing width gamma = {gamma} not below measured gap half-width {measured:.6f}"
         )
     lc = laurent_coefficients(gamma, trunc_order)
-    # written so that a NaN target fails
-    if not lc.tail <= series_target:
-        raise TruncationError(
-            f"certified tail {lc.tail:.3e} exceeds target {series_target:.3e}; "
-            "increase the truncation order or the smoothing width",
-            tail=lc.tail,
-            target=series_target,
-        )
     return hermitian_part((es.basis * lc.evaluate(es.angles)) @ es.basis.conj().T), lc
 
 

@@ -15,8 +15,8 @@ gated_norm of the defect matrix, a certified upper bound within sqrt(n)
 of its operator norm that meets the tolerance exactly when that norm
 does; a reported defect (unitarity_defect, hermiticity_defect,
 certified_unitary) is the exact operator norm. A typed argument carries its
-certificate and is not measured again; a HermitianMatrix is built only
-with a defect its O(n^2) Frobenius bound does not contradict.
+certificate and is not measured again; a HermitianMatrix or UnitaryMatrix
+is built only with a defect an O(n^2) norm of it does not contradict.
 """
 
 from __future__ import annotations
@@ -104,7 +104,23 @@ class HermitianMatrix(_CertifiedMatrix):
 
 
 class UnitaryMatrix(_CertifiedMatrix):
-    """A matrix certified unitary up to the recorded defect |M^H M - I|."""
+    """A matrix certified unitary up to the recorded defect |M^H M - I|.
+
+    Construction rejects a defect the column norms contradict: |m_j|^2 - 1
+    is a diagonal entry of M^H M - I, so at most its norm. The computed
+    |m_j|^2 - 1 is off by at most (n + 2) u (|m_j|^2 + 1) (Higham, Accuracy
+    and Stability, 2002, 3.1); the margin (n + 2) eps (|m_j|^2 + 1), eps =
+    2u, covers it and the same rounding in a measured defect. O(n^2).
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        sq = np.sum(self.mat.real**2 + self.mat.imag**2, axis=0)
+        margin = (self.n + 2) * np.finfo(float).eps * (sq + 1.0)
+        worst = float(np.max(np.abs(sq - 1.0) - margin))
+        if not worst <= self.defect:
+            raise InvalidInputError(f"recorded unitarity defect {self.defect:.3e} is below "
+                                    f"max |m_j|^2 - 1 less rounding, {worst:.3e}")
 
     @classmethod
     def from_array(cls, m) -> "UnitaryMatrix":

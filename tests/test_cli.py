@@ -208,6 +208,20 @@ def test_log_gamma_rejected_by_the_truncation_or_the_gap(tmp_path, capsys, gamma
     assert not (tmp_path / "h.mtxc").exists()
 
 
+@pytest.mark.parametrize("target", ["nan", "0", "-1"])
+def test_log_target_rejected_by_the_truncation(tmp_path, capsys, target):
+    # choose_truncation is the only check of the target
+    u_path = tmp_path / "u.mtxc"
+    main(["generate", "gapped", "--n", "4", "--delta", "0.5", "--seed", "3",
+          "--out", str(u_path)])
+    capsys.readouterr()
+    assert main(["log", str(u_path), "--target", target, "--out", str(tmp_path / "h.mtxc")]) \
+        == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rejected: need 0 < gamma < pi and target > 0")
+    assert not (tmp_path / "h.mtxc").exists()
+
+
 def run_nearcomm(args, cwd):
     """nearcomm in a subprocess, killed after 10 s so that a hang fails instead of stalling."""
     env = {**os.environ, "PYTHONPATH": str(Path(nearcomm.__file__).parents[1])}

@@ -241,6 +241,30 @@ class TestHermitianConstructor:
             assert HermitianMatrix(h.mat, h.defect).defect == h.defect
 
 
+class TestUnitaryConstructor:
+    def test_rejects_a_defect_the_column_norms_contradict(self):
+        # |2 e_j|^2 - 1 = 3 is a diagonal entry of M^H M - I
+        with pytest.raises(InvalidInputError, match="unitarity defect"):
+            UnitaryMatrix(2.0 * np.eye(2), 0.0)
+        with pytest.raises(InvalidInputError):
+            UnitaryMatrix(2.0 * np.eye(2), 2.9)
+        assert UnitaryMatrix(2.0 * np.eye(2), 3.0).defect == 3.0
+
+    @PROPERTY
+    @given(complex_matrices())
+    def test_certified_outputs_construct(self, m):
+        # herm_exp returns certified_unitary's measured defect; from_array a gated one
+        u = herm_exp(hermitian_part(m))
+        for typed in (u, UnitaryMatrix.from_array(u.mat)):
+            assert UnitaryMatrix(typed.mat, typed.defect).defect == typed.defect
+
+    @pytest.mark.parametrize("n", [1, 2, 32, 128, 512])
+    def test_identity_and_haar_with_measured_defect_construct(self, n):
+        assert UnitaryMatrix(np.eye(n, dtype=complex), 0.0).n == n
+        q = haar_unitary(n, stream_rng(n))
+        assert UnitaryMatrix(q, unitarity_defect(q)).n == n
+
+
 class TestDefects:
     def test_identity_zero(self):
         assert unitarity_defect(np.eye(3)) == 0.0

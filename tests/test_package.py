@@ -29,7 +29,6 @@ PUBLIC = {
     "InvalidInputError",
     "NumericalError",
     "PreconditionError",
-    "TruncationError",
     # the pipeline's options and result
     "PipelineOptions",
     "PipelineResult",
@@ -37,7 +36,7 @@ PUBLIC = {
 
 
 def test_all_is_the_public_api_and_resolves():
-    assert set(nearcomm.__all__) == PUBLIC and len(nearcomm.__all__) == 25
+    assert set(nearcomm.__all__) == PUBLIC and len(nearcomm.__all__) == 24
     for name in nearcomm.__all__:
         assert getattr(nearcomm, name) is not None
 

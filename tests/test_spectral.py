@@ -66,19 +66,21 @@ class TestEigensystem:
 
     @pytest.mark.parametrize("typed", [False, True])
     def test_non_normal_with_unit_eigenvalues_is_invalid_input(self, typed):
-        # eigenvalues 1 and -1 pass the modulus check; only the residual
-        # sees the matrix is not unitary, typed with a false defect or not
-        m = np.array([[1.0, 5.0], [0.0, -1.0]])
+        # unit columns, so the constructor takes the false defect 0;
+        # eigenvalue moduli 1 and 1 - 5e-7 pass the modulus check; only the
+        # residual sees the matrix is not unitary, typed or not
+        m = np.array([[1.0, 1e-3], [0.0, -np.sqrt(1.0 - 1e-6)]])
         with pytest.raises(InvalidInputError, match="unitarity defect"):
             center_gap(UnitaryMatrix(m, 0.0) if typed else m)
 
     def test_residual_gate_reads_unitarity_tolerance(self):
-        # non-normal, typed with a false defect 0: an off-diagonal 1e-8 leaves
-        # a certified residual of 7.1e-9, within UNITARITY_TOL * 2; 1e-6 does not
+        # non-normal with unit columns (to rounding), typed with a false
+        # defect 0: an off-diagonal 1e-8 leaves a certified residual of
+        # 7.1e-9, within UNITARITY_TOL * 2; 1e-6 does not
         small = np.array([[1.0, 1e-8], [0.0, -1.0]])
         es = unitary_eigensystem(UnitaryMatrix(small, 0.0))
         assert 5e-9 < es.residual <= UNITARITY_TOL * 2
-        large = np.array([[1.0, 1e-6], [0.0, -1.0]])
+        large = np.array([[1.0, 1e-6], [0.0, -np.sqrt(1.0 - 1e-12)]])
         with pytest.raises(InvalidInputError, match="unitarity defect"):
             unitary_eigensystem(UnitaryMatrix(large, 0.0))
 
