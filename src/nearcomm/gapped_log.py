@@ -86,7 +86,7 @@ class LaurentCoefficients:
 
     coeffs[trunc_order + k] holds c_k; c_{-k} = conj(c_k) by construction.
     tail bounds sum_{|k| > trunc_order} |c_k| (_envelope_tail); c_emp, the
-    measured max |c_k|*gamma*k^4 over k <= trunc_order, is only reported.
+    measured max |c_k|*gamma*k^4 over k <= trunc_order, enters no bound.
     """
 
     gamma: float
@@ -223,7 +223,8 @@ def direct_log(u) -> HermitianMatrix:
     Eigenangles are taken in (0, 2pi); an angle within 1e-9 of the branch
     cut at 0 is rejected as ambiguous. An Eigensystem, such as the one
     center_gap returns, is used as given; any other input is decomposed
-    here. The pipeline's log and the oracle for the series log.
+    here. On the centered eigensystem, the log of near_commuting_unitaries
+    and nearcomm log; on any input, the oracle for the series log.
     """
     es = u if isinstance(u, Eigensystem) else unitary_eigensystem(u)
     if es.margin < 1e-9:

@@ -129,10 +129,11 @@ class PipelineResult:
         }
 
 
-def _certificate(es: Eigensystem, target: float) -> tuple[float, int, float, float]:
+def log_certificate(es: Eigensystem, target: float) -> tuple[float, int, float, float]:
     """(gamma, K, tail, W) of the series at gamma = min |theta| that certifies direct_log(es).
 
-    gamma is kept below pi, which a scalar's theta = pi reaches.
+    gamma is kept below pi, which a scalar's theta = pi reaches. Both
+    near_commuting_unitaries and nearcomm log certify their logs here.
     """
     gamma = min(es.margin, math.nextafter(math.pi, 0))
     order = certified_truncation(gamma, target)
@@ -199,8 +200,8 @@ def near_commuting_unitaries(
         )
 
     log_u, log_v = direct_log(es_u), direct_log(es_v)
-    gamma1, order1, tail1, w_u = _certificate(es_u, opts.series_target)
-    gamma2, order2, tail2, w_v = _certificate(es_v, opts.series_target)
+    gamma1, order1, tail1, w_u = log_certificate(es_u, opts.series_target)
+    gamma2, order2, tail2, w_v = log_certificate(es_v, opts.series_target)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
     alpha = w_u * w_v

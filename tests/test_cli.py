@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import nearcomm
-from nearcomm import cli, commutator, jointdiag, operator_norm
+from nearcomm import (commutator, direct_log, gen_almost_commuting_pair, jointdiag,
+                      near_commuting_unitaries, operator_norm)
 from nearcomm import mtxc
 from nearcomm.linalg import herm_exp
 from nearcomm.cli import EXIT_OK, EXIT_REJECTED, main
-from nearcomm.sweep import CSV_FIELDS
+from nearcomm.spectral import center_gap
+from nearcomm.sweep import CSV_FIELDS, _fmt
 
 
 def parse_kv(text: str) -> dict:
@@ -54,44 +56,19 @@ def test_log_writes_exponentiable_matrix(tmp_path, capsys):
     assert operator_norm(herm_exp(h).mat - centered) <= 1e-5
 
 
-def test_log_coefficient_dump(tmp_path, capsys):
-    u_path = tmp_path / "u.mtxc"
-    main(["generate", "gapped", "--n", "4", "--delta", "1.2", "--seed", "2",
-          "--out", str(u_path)])
-    coeffs_path = tmp_path / "coeffs.csv"
-    assert main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc"),
-                 "--coeffs", str(coeffs_path)]) == EXIT_OK
-    lines = coeffs_path.read_text().splitlines()
-    assert lines[0] == "k,re,im,envelope"
-    ks = [int(line.split(",")[0]) for line in lines[1:]]
-    assert ks[0] == -ks[-1]
-    mid = lines[1 + len(ks) // 2].split(",")
-    assert int(mid[0]) == 0
-    assert float(mid[1]) == pytest.approx(np.pi, abs=1e-10)
-
-
-def reference_coefficient_dump(lc) -> bytes:
-    """The --coeffs CSV written one f-string row at a time: the reference for the CLI's."""
-    k = np.arange(-lc.trunc_order, lc.trunc_order + 1)
-    envelope = np.abs(lc.coeffs) * lc.gamma * np.abs(k) ** 4.0
-    text = "k,re,im,envelope\n"
-    for kk, c, e in zip(k, lc.coeffs, envelope):
-        text += f"{kk},{c.real:.17g},{c.imag:.17g},{e:.17g}\n"
-    return text.encode("ascii")
-
-
-@pytest.mark.parametrize("gamma", ["0.5", "0.05"])
-def test_log_coefficient_dump_bytes_match_row_by_row_writer(tmp_path, capsys, gamma):
-    u_path, coeffs_path = tmp_path / "u.mtxc", tmp_path / "coeffs.csv"
-    main(["generate", "gapped", "--n", "4", "--delta", "1.2", "--seed", "2",
-          "--out", str(u_path)])
-    capsys.readouterr()
-    assert main(["log", str(u_path), "--out", str(tmp_path / "h.mtxc"), "--gamma", gamma,
-                 "--target", "1e-3", "--coeffs", str(coeffs_path)]) == EXIT_OK
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_log_is_the_pipelines_log_and_certificate(tmp_path, capsys, seed):
+    # one gamma policy: nearcomm log certifies at the pair path's gamma and K,
+    # and writes the exact log of the centered eigensystem
+    u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, seed)
+    u_path, h_path = tmp_path / "u.mtxc", tmp_path / "h.mtxc"
+    mtxc.write(u_path, u.mat)
+    assert main(["log", str(u_path), "--out", str(h_path)]) == EXIT_OK
     kv = parse_kv(capsys.readouterr().out)
-    lc = nearcomm.laurent_coefficients(float(kv["gamma"]), int(kv["trunc_order"]))
-    assert lc.trunc_order < 2000
-    assert coeffs_path.read_bytes() == reference_coefficient_dump(lc)
+    flat = near_commuting_unitaries(u, v).flat()
+    assert [kv[k] for k in ("gamma", "trunc_order", "tail")] == \
+        [_fmt(flat[k]) for k in ("gamma1", "trunc_order1", "tail1")]
+    assert h_path.read_bytes() == mtxc.dumps(direct_log(center_gap(u)[0]).mat).encode("ascii")
 
 
 def test_pair_produces_commuting_files(tmp_path, capsys):
@@ -182,32 +159,6 @@ def test_missing_file_rejected(tmp_path):
     assert main(["gap", str(tmp_path / "absent.mtxc")]) == EXIT_REJECTED
 
 
-def test_log_gamma_out_of_range_rejected(tmp_path, capsys):
-    u_path = tmp_path / "u.mtxc"
-    main(["generate", "gapped", "--n", "4", "--delta", "0.5", "--seed", "3",
-          "--out", str(u_path)])
-    capsys.readouterr()
-    assert main(["log", str(u_path), "--gamma", "3.2"]) == EXIT_REJECTED
-
-
-@pytest.mark.parametrize("gamma", ["-1", "nan", "inf", "beyond-gap"])
-def test_log_gamma_rejected_by_the_truncation_or_the_gap(tmp_path, capsys, gamma):
-    # choose_truncation rejects gamma outside (0, pi); gapped_log a gamma at
-    # or past the measured gap half-width
-    u_path = tmp_path / "u.mtxc"
-    main(["generate", "gapped", "--n", "4", "--delta", "0.5", "--seed", "3",
-          "--out", str(u_path)])
-    main(["gap", str(u_path)])
-    if gamma == "beyond-gap":
-        gamma = repr(1.001 * float(parse_kv(capsys.readouterr().out)["half_width"]))
-    capsys.readouterr()
-    assert main(["log", str(u_path), "--gamma", gamma, "--out", str(tmp_path / "h.mtxc")]) \
-        == EXIT_REJECTED
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("rejected: ")
-    assert not (tmp_path / "h.mtxc").exists()
-
-
 @pytest.mark.parametrize("target", ["nan", "0", "-1"])
 def test_log_target_rejected_by_the_truncation(tmp_path, capsys, target):
     # choose_truncation is the only check of the target
@@ -248,13 +199,13 @@ def test_pair_past_the_order_cap_rejected_promptly(tmp_path, target):
 
 
 def test_log_past_the_order_cap_rejected_promptly(tmp_path):
-    # gamma = 1e-9 needs K ~ 2.6e11: 1.88 TiB of coefficients
+    # two of the pair test's targets: 1e-300 needs K ~ 1e100 and 5e-324 overflowed math.ceil
     main(["generate", "gapped", "--n", "4", "--delta", "0.5", "--seed", "3",
           "--out", str(tmp_path / "u.mtxc")])
-    proc = run_nearcomm(["log", "u.mtxc", "--gamma", "1e-9"], tmp_path)
-    assert_rejected_for_order(proc)
-    assert "~2.6e11" in proc.stderr
-    assert not (tmp_path / "log.mtxc").exists()
+    for target in ("1e-300", "5e-324"):
+        proc = run_nearcomm(["log", "u.mtxc", "--target", target], tmp_path)
+        assert_rejected_for_order(proc)
+        assert not (tmp_path / "log.mtxc").exists()
 
 
 def test_sweep_past_the_order_cap_records_nan_rows_promptly(tmp_path):

@@ -156,8 +156,8 @@ class TestSmoothedCoefficients:
         # M (proved by test_envelope_constant_bounds_the_supremum). The grid
         # includes gamma*K below the envelope's peak at s = 4.51, where a
         # maximum over k <= K alone understates the constant: at (0.1, 26),
-        # the order nearcomm log --gamma 0.1 --target 1 picks, the
-        # remainder exceeds 0.632
+        # the order choose_truncation(0.1, 1) picks, the remainder exceeds
+        # 0.632
         m = order + 20_000
         k = np.arange(order + 1, m + 1)
         remainder = 2.0 * np.sum(np.abs(kernel_transform(gamma, k)) / k)

@@ -66,7 +66,7 @@ class TestLogCommutatorBound:
 
     def test_single_term_hand_value(self, monkeypatch):
         # sum |j| |c_j| = 2 per set, so alpha = 2 * 2 = 4
-        monkeypatch.setattr(pipeline, "_certificate", single_term_certificate)
+        monkeypatch.setattr(pipeline, "log_certificate", single_term_certificate)
         res = near_commuting_unitaries(*gen_almost_commuting_pair(6, 1.0, 1e-3, 23)[:2])
         assert res.bound.alpha_emp == pytest.approx(4.0, abs=1e-14)
         assert res.bound.predicted == res.comm_before * res.bound.alpha_emp
