@@ -8,6 +8,7 @@ Subcommands: gap, log, pair, sweep, generate. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -40,15 +41,7 @@ def _load_unitary(path: str) -> UnitaryMatrix:
 def _cmd_gap(args) -> int:
     u = _load_unitary(args.matrix)
     _, gap = center_gap(u)
-    _print_kv(
-        {
-            "n": u.n,
-            "center": gap.center,
-            "half_width": gap.half_width,
-            "lo": gap.lo,
-            "hi": gap.hi,
-        }
-    )
+    _print_kv({"n": u.n, **dataclasses.asdict(gap)})
     return EXIT_OK
 
 
@@ -90,11 +83,6 @@ def _cmd_pair(args) -> int:
     flat["out_x"] = args.out_x
     flat["out_y"] = args.out_y
     _print_kv(flat)
-    if args.csv is not None:
-        keys = [k for k in flat if k not in ("out_x", "out_y")]
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(",".join(keys) + "\n")
-            fh.write(",".join(_fmt(flat[k]) for k in keys) + "\n")
     return EXIT_OK
 
 
@@ -185,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--target", type=float, default=1e-6)
     p_pair.add_argument("--out-x", default="x.mtxc")
     p_pair.add_argument("--out-y", default="y.mtxc")
-    p_pair.add_argument("--csv", default=None)
     p_pair.set_defaults(func=_cmd_pair)
 
     p_sweep = sub.add_parser("sweep", help="epsilon sweep experiment, persisted as CSV")

@@ -21,10 +21,9 @@ class GapTooSmallError(PreconditionError):
     Carries the measured half-widths so callers can report them.
     """
 
-    def __init__(self, message: str, gaps: tuple[float, ...], min_gap: float):
+    def __init__(self, message: str, gaps: tuple[float, ...]):
         super().__init__(message)
         self.gaps = gaps
-        self.min_gap = min_gap
 
 
 class BranchPointError(PreconditionError):

@@ -196,7 +196,6 @@ def near_commuting_unitaries(
             f"gap half-widths ({gap1.half_width:.6f}, {gap2.half_width:.6f}) "
             f"not above min_gap = {opts.min_gap}",
             gaps=(gap1.half_width, gap2.half_width),
-            min_gap=opts.min_gap,
         )
 
     log_u, log_v = direct_log(es_u), direct_log(es_v)

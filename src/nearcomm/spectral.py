@@ -137,10 +137,11 @@ def unitary_eigensystem(u) -> Eigensystem:
     |Z diag(e^{i*angles}) Z^H - U| must stay within
     UNITARITY_TOL * n; the eigensystem carries gated_norm of that
     difference, the certified bound the gate reads, as its residual.
-    When either check fails, or the probes run out, UnitaryMatrix.from_array
-    checks the input before the failure is raised, since a trusted
-    UnitaryMatrix may carry a defect it does not have: a non-unitary input
-    is rejected as invalid rather than reported as a numerical failure.
+    A modulus failure raises InvalidInputError. When the residual check
+    fails, or the probes run out, UnitaryMatrix.from_array checks the input
+    before NumericalError is raised, since a trusted UnitaryMatrix may
+    carry a defect it does not have: a non-unitary input is rejected as
+    invalid rather than reported as a numerical failure.
     """
     if not isinstance(u, UnitaryMatrix):
         u = UnitaryMatrix.from_array(u)
@@ -166,7 +167,6 @@ def unitary_eigensystem(u) -> Eigensystem:
         rq = np.einsum("ij,ij->j", z.conj(), a @ z)
         worst = float(np.max(np.abs(np.abs(rq) - 1.0)))
         if worst > MODULUS_TOL:
-            UnitaryMatrix.from_array(a)
             raise InvalidInputError(
                 f"eigenvalue modulus deviates from 1 by {worst:.3e}; input is not numerically unitary"
             )

@@ -76,8 +76,7 @@ CSV_FIELDS = [f.name for f in fields(TrialRecord)]
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
+    # a bool is an int, so converged prints as 1 or 0
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import nearcomm
-from nearcomm import (commutator, direct_log, gen_almost_commuting_pair, jointdiag,
-                      near_commuting_unitaries, operator_norm)
+from nearcomm import (commutator, direct_log, gen_almost_commuting_pair, gen_gapped_unitary,
+                      gen_voiculescu_pair, jointdiag, near_commuting_unitaries, operator_norm)
 from nearcomm import mtxc
 from nearcomm.linalg import herm_exp
 from nearcomm.cli import EXIT_OK, EXIT_REJECTED, main
@@ -38,6 +38,31 @@ def test_generate_and_gap(tmp_path, capsys):
     kv = parse_kv(capsys.readouterr().out)
     assert float(kv["half_width"]) >= 0.9
     assert "center" in kv and "lo" in kv and "hi" in kv
+
+
+@pytest.mark.parametrize("kind", ["gapped", "pair", "voiculescu"])
+def test_generate_writes_the_api_matrices(tmp_path, capsys, kind):
+    u_path, v_path = str(tmp_path / "u.mtxc"), str(tmp_path / "v.mtxc")
+    if kind == "gapped":
+        argv = ["--n", "5", "--delta", "0.9", "--seed", "5", "--out", u_path]
+        mats = {u_path: gen_gapped_unitary(5, 0.9, 5).mat}
+        keys = {"kind": "gapped", "n": "5", "delta": "0.90000000000000002", "out": u_path}
+    elif kind == "pair":
+        argv = ["--n", "5", "--delta", "1.0", "--eps", "0.01", "--seed", "5",
+                "--out-u", u_path, "--out-v", v_path]
+        u, v, eps_actual = gen_almost_commuting_pair(5, 1.0, 0.01, 5)
+        mats = {u_path: u.mat, v_path: v.mat}
+        keys = {"kind": "pair", "n": "5", "delta": "1", "eps_target": "0.01",
+                "eps_actual": _fmt(eps_actual), "out_u": u_path, "out_v": v_path}
+    else:
+        argv = ["--n", "5", "--out-u", u_path, "--out-v", v_path]
+        u, v = gen_voiculescu_pair(5)
+        mats = {u_path: u.mat, v_path: v.mat}
+        keys = {"kind": "voiculescu", "n": "5", "out_u": u_path, "out_v": v_path}
+    assert main(["generate", kind, *argv]) == EXIT_OK
+    assert parse_kv(capsys.readouterr().out) == keys
+    for path, mat in mats.items():
+        assert Path(path).read_text() == mtxc.dumps(mat)
 
 
 def test_log_writes_exponentiable_matrix(tmp_path, capsys):
@@ -77,9 +102,8 @@ def test_pair_produces_commuting_files(tmp_path, capsys):
           "--seed", "4", "--out-u", str(u_path), "--out-v", str(v_path)])
     capsys.readouterr()
     x_path, y_path = tmp_path / "x.mtxc", tmp_path / "y.mtxc"
-    csv_path = tmp_path / "row.csv"
     code = main(["pair", str(u_path), str(v_path), "--out-x", str(x_path),
-                 "--out-y", str(y_path), "--csv", str(csv_path)])
+                 "--out-y", str(y_path)])
     assert code == EXIT_OK
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -87,9 +111,7 @@ def test_pair_produces_commuting_files(tmp_path, capsys):
     x, y = mtxc.read(x_path), mtxc.read(y_path)
     assert operator_norm(commutator(x, y)) <= 1e-10 * 6
     assert float(kv["comm_after"]) <= 1e-10 * 6
-    header, row = csv_path.read_text().splitlines()
-    assert len(header.split(",")) == len(row.split(","))
-    assert "dist_u" in header.split(",")
+    assert (kv["out_x"], kv["out_y"]) == (str(x_path), str(y_path))
 
 
 def test_pair_warns_when_joint_diagonalization_unconverged(tmp_path, capsys, monkeypatch):
@@ -296,6 +318,17 @@ def test_sweep_smoke(tmp_path, capsys):
     kv = parse_kv(capsys.readouterr().out)
     assert int(kv["trials_total"]) == 4
     assert out.exists()
+
+
+def test_sweep_ascending_endpoints_print_one_line_per_point(tmp_path, capsys):
+    # the points are run from the largest epsilon down, whichever end is given first
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "1e-4",
+                 "--eps-end", "1e-1", "--points", "4", "--trials", "1",
+                 "--seed", "2", "--out", str(out)]) == EXIT_OK
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("eps=")]
+    eps = [float(ln.split()[0].partition("=")[2]) for ln in lines]
+    assert eps == pytest.approx([1e-1, 1e-2, 1e-3, 1e-4], rel=1e-12)
 
 
 def test_module_entry_point(tmp_path):

@@ -142,6 +142,11 @@ class TestSmoothedCoefficients:
         lc = laurent_coefficients(0.5, np.int64(10))
         assert lc.trunc_order == 10 and lc.coeffs.shape == (21,)
 
+    def test_numpy_integer_order_tail_does_not_wrap(self):
+        # np.int64(2**21)**3 = 2**63 wraps negative; the order is a Python int first
+        order = 2**21
+        assert laurent_coefficients(0.5, np.int64(order)).tail == _envelope_tail(0.5, order)
+
     def test_tail_formula(self):
         # the envelope tail 2*C/(3*gamma^3*K^3), not the measured c_emp's
         lc = laurent_coefficients(0.5, 100)
@@ -449,14 +454,12 @@ def term_by_term(u, coeffs):
     return acc
 
 
-class TestPatersonStockmeyer:
-    # The series on the eigenangles against term-by-term powers of U (the
-    # name, of the matrix-power evaluator the class first checked, is kept
-    # so that its test ids stay stable). H summed on the eigenangles is the
-    # matrix series in U itself, up to weighted_sum * r for the
-    # reconstruction residual r. K crosses the evaluator's block
-    # boundaries: s = floor(sqrt K) steps up at 4, 9 and 16, and K = m*s is
-    # followed by K = m*s + 1
+class TestSeriesAgainstMatrixPowers:
+    # The series on the eigenangles against term-by-term powers of U. H
+    # summed on the eigenangles is the matrix series in U itself, up to
+    # weighted_sum * r for the reconstruction residual r. K crosses the
+    # evaluator's block boundaries: s = floor(sqrt K) steps up at 4, 9 and
+    # 16, and K = m*s is followed by K = m*s + 1
     @pytest.mark.parametrize("n", [1, 5, 32])
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 8, 9, 10, 15, 16, 17, 1000])
     def test_matches_term_by_term(self, n, order):

@@ -227,6 +227,25 @@ class TestNearestCommutingPair:
         pair = nearest_commuting_pair(a, b)
         assert np.all(np.diff(pair.off_history) <= 0)
 
+    def test_halved_step_is_taken(self, monkeypatch):
+        # on this far-from-commuting pair a full step raises off once; the
+        # halved step lowers it and the iteration runs its whole budget. A
+        # line search that retried the unhalved step would stop after 13
+        # sweeps, converged, at dist 7.78 instead of 7.05
+        rng = np.random.default_rng(3)
+        a, b = random_hermitian(16, rng), random_hermitian(16, rng)
+        solves, real = [], np.linalg.solve
+
+        def counted(*args):
+            solves.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        pair = nearest_commuting_pair(a, b)
+        assert not pair.converged and pair.sweeps == jointdiag.MAX_SWEEPS
+        assert len(solves) > pair.sweeps
+        assert pair.dist_a + pair.dist_b == pytest.approx(7.0507, abs=1e-3)
+
     def test_no_halving_that_lowers_off_stops_converged(self, monkeypatch):
         # every trial step reads a higher off: all _MAX_HALVINGS halvings fail,
         # and the iteration stops converged in the warm-start basis

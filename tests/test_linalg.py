@@ -2,6 +2,7 @@
 
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,9 @@ from nearcomm.linalg import (
     hermiticity_defect,
     unitarity_defect,
 )
-from nearcomm.spectral import unitary_eigensystem
+from nearcomm.gapped_log import LaurentCoefficients
+from nearcomm.jointdiag import CommutingHermitianPair
+from nearcomm.spectral import Eigensystem, unitary_eigensystem
 
 RNG = np.random.default_rng(20240811)
 
@@ -250,6 +253,24 @@ class TestUnitaryConstructor:
             UnitaryMatrix(2.0 * np.eye(2), 2.9)
         assert UnitaryMatrix(2.0 * np.eye(2), 3.0).defect == 3.0
 
+    def test_margin_covers_the_column_sums_rounding(self):
+        # M = c H_64, H_64 the Sylvester-Hadamard matrix and c nine ulps above
+        # 1/8, has M^H M = 64 c^2 I, so its defect |64 c^2 - 1| is exact (taken
+        # rounded up). The summed squares of a column carry 6 eps of rounding
+        # beyond it: a margin of 2 eps (|m_j|^2 + 1) would reject M
+        h = np.array([[1.0]])
+        for _ in range(6):
+            h = np.block([[h, h], [h, -h]])
+        c = 0.125
+        for _ in range(9):
+            c = np.nextafter(c, 1.0)
+        exact = abs(64 * Fraction(c) ** 2 - 1)
+        defect = float(exact)
+        if Fraction(defect) < exact:
+            defect = float(np.nextafter(defect, 1.0))
+        assert defect == pytest.approx(4.0e-15, rel=1e-3)
+        assert UnitaryMatrix(c * h, defect).defect == defect
+
     @PROPERTY
     @given(complex_matrices())
     def test_certified_outputs_construct(self, m):
@@ -302,6 +323,31 @@ class TestTypes:
         u = UnitaryMatrix.from_array(np.eye(2))
         with pytest.raises(ValueError):
             u.mat[0, 0] = 5.0
+
+    @pytest.mark.parametrize("record", ["Eigensystem", "CommutingHermitianPair",
+                                        "LaurentCoefficients"])
+    def test_records_hold_read_only_copies(self, record):
+        # each array field is copied and frozen: neither writing to the
+        # caller's array nor to the field changes the record
+        inputs = {"basis": np.eye(2, dtype=complex), "angles": np.array([0.5, 1.0]),
+                  "diag_a": np.array([1.0, 2.0]), "diag_b": np.array([3.0, 4.0]),
+                  "coeffs": np.array([-0.5j, np.pi, 0.5j])}
+        if record == "Eigensystem":
+            rec = Eigensystem(inputs["angles"], inputs["basis"])
+            names = ("angles", "basis")
+        elif record == "CommutingHermitianPair":
+            rec = CommutingHermitianPair(inputs["basis"], inputs["diag_a"], inputs["diag_b"],
+                                         0.0, 0.0, True, 0, (0.0,))
+            names = ("basis", "diag_a", "diag_b")
+        else:
+            rec = LaurentCoefficients(0.5, 1, inputs["coeffs"], 0.0, 0.0)
+            names = ("coeffs",)
+        for name in names:
+            field, given = getattr(rec, name), inputs[name]
+            assert not field.flags.writeable
+            before = field.copy()
+            given[0] += 1.0
+            assert np.array_equal(field, before)
 
     def test_tolerance_constants(self):
         # each gate's threshold: the first three are multiplied by n where applied

@@ -66,11 +66,18 @@ def test_rejects_bad_header():
 def test_rejects_row_count_mismatch():
     with pytest.raises(InvalidInputError):
         mtxc.loads("MTXC 1 2\n0 0 0 0\n")
+    # an extra row is not dropped
+    with pytest.raises(InvalidInputError, match="expected 2 rows, found 3"):
+        mtxc.loads("MTXC 1 2\n0 0 0 0\n0 0 0 0\n1 0 0 0\n")
 
 
 def test_rejects_field_count_mismatch():
     with pytest.raises(InvalidInputError):
         mtxc.loads("MTXC 1 2\n0 0 0\n0 0 0 0\n")
+    # 2n + 1 and 2n - 1 values hold 2n^2 in all, but shifted
+    for rows, i, found in [("1 2 3 4 5\n6 7 8", 0, 5), ("1 2 3\n4 5 6 7 8", 0, 3)]:
+        with pytest.raises(InvalidInputError, match=f"row {i}: expected 4 values, found {found}"):
+            mtxc.loads(f"MTXC 1 2\n{rows}\n")
 
 
 def test_rejects_non_numeric_and_non_finite():

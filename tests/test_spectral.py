@@ -291,6 +291,14 @@ class TestCayleyProbes:
             unitary_eigensystem(np.eye(3))
         assert len(calls) == spectral._MAX_PROBES
 
+    def test_probes_run_out_on_a_trusted_non_unitary_input(self, monkeypatch):
+        # the input is checked before the probes' failure is reported, so a
+        # UnitaryMatrix with a false defect 0 is rejected as invalid
+        monkeypatch.setattr(spectral, "_cayley", lambda a, psi: None)
+        m = np.array([[1.0, 1e-3], [0.0, -np.sqrt(1.0 - 1e-6)]])
+        with pytest.raises(InvalidInputError, match="unitarity defect"):
+            unitary_eigensystem(UnitaryMatrix(m, 0.0))
+
 
 @st.composite
 def probe_spectra(draw):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nearcomm import ExperimentConfig, InvalidInputError, NumericalError, run_sweep, summarize
-from nearcomm.sweep import CSV_FIELDS, records_to_csv
+from nearcomm.sweep import CSV_FIELDS, _fmt, records_to_csv
 
 
 def small_config(tmp_path=None, **overrides):
@@ -44,6 +44,11 @@ class TestConfigValidation:
     def test_zero_allowed(self):
         cfg = small_config(epsilons=(1e-2, 0.0))
         assert cfg.epsilons[-1] == 0.0
+
+    def test_epsilons_stored_as_a_tuple_of_floats(self):
+        cfg = small_config(epsilons=[np.float32(0.5), 0])
+        assert cfg.epsilons == (0.5, 0.0)
+        assert type(cfg.epsilons) is tuple and all(type(e) is float for e in cfg.epsilons)
 
     def test_trials_positive(self):
         with pytest.raises(InvalidInputError):
@@ -152,6 +157,28 @@ class TestRunSweep:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
         assert len(rows) == 4
         assert all(row.split(",")[CSV_FIELDS.index("dist_u")] == "nan" for row in rows)
+
+    def test_generation_failure_becomes_nan_row(self, monkeypatch):
+        # the pair was never drawn, so eps_actual is NaN too
+        def failing(*args):
+            raise InvalidInputError("no pair")
+
+        monkeypatch.setattr("nearcomm.sweep.gen_almost_commuting_pair", failing)
+        records = run_sweep(small_config())
+        assert len(records) == 4
+        for rec in records:
+            assert math.isnan(rec.eps_actual) and math.isnan(rec.dist_u)
+            assert rec.failure == "InvalidInputError"
+
+
+class TestFormat:
+    def test_ints_and_bools_print_as_integers(self):
+        assert (_fmt(True), _fmt(False), _fmt(np.int64(7)), _fmt(12)) == ("1", "0", "7", "12")
+
+    def test_floats_print_17_significant_digits(self):
+        assert _fmt(0.1) == "0.10000000000000001"
+        assert _fmt(np.float64(-1 / 3)) == "-0.33333333333333331"
+
 
 class TestSummarize:
     def test_medians_and_slope(self):
