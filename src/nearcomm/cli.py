@@ -50,8 +50,7 @@ def _cmd_log(args) -> int:
     es, gap = center_gap(u)
     h = direct_log(es)
     gamma, order, tail, w = log_certificate(es, args.target)
-    out = args.out if args.out is not None else "log.mtxc"
-    mtxc.write(out, h.mat)
+    mtxc.write(args.out, h.mat)
     _print_kv(
         {
             "n": u.n,
@@ -61,7 +60,7 @@ def _cmd_log(args) -> int:
             "trunc_order": order,
             "tail": tail,
             "weighted_sum": w,
-            "out": out,
+            "out": args.out,
         }
     )
     return EXIT_OK
@@ -123,29 +122,20 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_generate(args) -> int:
     if args.kind == "gapped":
-        u = gen_gapped_unitary(args.n, args.delta, args.seed)
-        mtxc.write(args.out, u.mat)
-        _print_kv({"kind": "gapped", "n": args.n, "delta": args.delta, "out": args.out})
+        files = {"out": gen_gapped_unitary(args.n, args.delta, args.seed)}
+        shown = {"delta": args.delta}
     elif args.kind == "pair":
         u, v, eps_actual = gen_almost_commuting_pair(args.n, args.delta, args.eps, args.seed)
-        mtxc.write(args.out_u, u.mat)
-        mtxc.write(args.out_v, v.mat)
-        _print_kv(
-            {
-                "kind": "pair",
-                "n": args.n,
-                "delta": args.delta,
-                "eps_target": args.eps,
-                "eps_actual": eps_actual,
-                "out_u": args.out_u,
-                "out_v": args.out_v,
-            }
-        )
+        files = {"out_u": u, "out_v": v}
+        shown = {"delta": args.delta, "eps_target": args.eps, "eps_actual": eps_actual}
     else:
         u, v = gen_voiculescu_pair(args.n)
-        mtxc.write(args.out_u, u.mat)
-        mtxc.write(args.out_v, v.mat)
-        _print_kv({"kind": "voiculescu", "n": args.n, "out_u": args.out_u, "out_v": args.out_v})
+        files = {"out_u": u, "out_v": v}
+        shown = {}
+    for key, m in files.items():
+        shown[key] = getattr(args, key)
+        mtxc.write(shown[key], m.mat)
+    _print_kv({"kind": args.kind, "n": args.n, **shown})
     return EXIT_OK
 
 
@@ -163,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_log = sub.add_parser("log", help="certified logarithm of a gapped unitary")
     p_log.add_argument("matrix")
     p_log.add_argument("--target", type=float, default=1e-6)
-    p_log.add_argument("--out", default=None)
+    p_log.add_argument("--out", default="log.mtxc")
     p_log.set_defaults(func=_cmd_log)
 
     p_pair = sub.add_parser("pair", help="commuting pair near two almost-commuting unitaries")

@@ -8,7 +8,6 @@ for bit.
 
 from __future__ import annotations
 
-import itertools
 import os
 
 import numpy as np
@@ -47,22 +46,17 @@ def loads(text: str) -> np.ndarray:
         raise InvalidInputError(f"dimension must be positive, got {n}")
     if len(lines) - 1 != n:
         raise InvalidInputError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = [line.split() for line in lines[1:]]
-    for i, fields in enumerate(rows):
+    vals = np.empty((n, 2 * n))
+    for i, line in enumerate(lines[1:]):
+        fields = line.split()
         if len(fields) != 2 * n:
             raise InvalidInputError(f"row {i}: expected {2 * n} values, found {len(fields)}")
-    try:
-        vals = np.fromiter(map(float, itertools.chain.from_iterable(rows)), np.float64, 2 * n * n)
-    except ValueError as exc:
-        # the row lengths fixed the count at 2n^2, so float() failed on a token found below
-        for i, fields in enumerate(rows):
-            try:
-                list(map(float, fields))
-            except ValueError:
-                break
-        raise InvalidInputError(f"row {i}: non-numeric value") from exc
+        try:
+            vals[i] = np.fromiter(map(float, fields), np.float64, 2 * n)
+        except ValueError as exc:
+            raise InvalidInputError(f"row {i}: non-numeric value") from exc
     # viewing the (re, im) pairs keeps the sign of a zero, which re + 1j*im loses
-    return as_square_array(vals.view(np.complex128).reshape(n, n), "MTXC matrix")
+    return as_square_array(vals.view(np.complex128), "MTXC matrix")
 
 
 def write(path: str | os.PathLike, m) -> None:
@@ -71,5 +65,11 @@ def write(path: str | os.PathLike, m) -> None:
 
 
 def read(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+    """The matrix in an MTXC file, which must be ASCII."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"non-ASCII byte at offset {exc.start}") from exc
+    return loads(text)

@@ -51,7 +51,8 @@ class ExperimentConfig:
 class TrialRecord:
     """One sweep cell; a failed trial keeps the defaults: NaN, order 0, unconverged.
 
-    failure is "" for a checked result, else the class name of its error.
+    A measured field has the name of its PipelineResult.flat() key. failure
+    is "" for a checked result, else the class name of its error.
     """
 
     n: int
@@ -60,14 +61,15 @@ class TrialRecord:
     delta2: float = math.nan
     eps_target: float
     eps_actual: float
-    log_comm: float = math.nan
+    measured_log_comm: float = math.nan
     predicted_bound: float = math.nan
     herm_dist_a: float = math.nan
     herm_dist_b: float = math.nan
     dist_u: float = math.nan
     dist_v: float = math.nan
     comm_after: float = math.nan
-    trunc_order: int = 0
+    trunc_order1: int = 0
+    trunc_order2: int = 0
     converged: bool = False
     failure: str = ""
 
@@ -84,24 +86,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: list[TrialRecord], header_comment: str | None = None) -> str:
-    lines = []
-    if header_comment is not None:
-        lines.append(f"# {header_comment}")
-    lines.append(",".join(CSV_FIELDS))
-    for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, name)) for name in CSV_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
 def write_records(path: str | os.PathLike, records: list[TrialRecord], config: ExperimentConfig) -> None:
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    comment = (
-        f"nearcomm sweep n={config.n} delta={config.delta} trials={config.trials} "
-        f"seed={config.seed} timestamp={stamp}"
-    )
+    lines = [
+        f"# nearcomm sweep n={config.n} delta={config.delta} trials={config.trials} "
+        f"seed={config.seed} timestamp={stamp}",
+        ",".join(CSV_FIELDS),
+    ]
+    lines += [",".join(_fmt(getattr(rec, name)) for name in CSV_FIELDS) for rec in records]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(records_to_csv(records, comment))
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -118,19 +112,10 @@ def _trial_record(
     config: ExperimentConfig, eps: float, eps_actual: float, res: PipelineResult | Exception
 ) -> TrialRecord:
     """The row of one (epsilon, trial) cell; a failed trial (res its error) measures nothing."""
-    measured = dict(failure=type(res).__name__) if isinstance(res, Exception) else dict(
-        delta1=res.gap1.half_width,
-        delta2=res.gap2.half_width,
-        log_comm=res.bound.measured_log_comm,
-        predicted_bound=res.bound.predicted,
-        herm_dist_a=res.herm_dist_a,
-        herm_dist_b=res.herm_dist_b,
-        dist_u=res.dist_u,
-        dist_v=res.dist_v,
-        comm_after=res.comm_after,
-        trunc_order=max(res.trunc_order1, res.trunc_order2),
-        converged=res.converged,
-    )
+    if isinstance(res, Exception):
+        measured = {"failure": type(res).__name__}
+    else:
+        measured = {k: v for k, v in res.flat().items() if k in CSV_FIELDS and k != "n"}
     return TrialRecord(
         n=config.n, seed=config.seed, eps_target=eps, eps_actual=eps_actual, **measured
     )

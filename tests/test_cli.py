@@ -181,6 +181,21 @@ def test_missing_file_rejected(tmp_path):
     assert main(["gap", str(tmp_path / "absent.mtxc")]) == EXIT_REJECTED
 
 
+NON_ASCII = {"ff": (b"MTXC 1 1\n1 0\xff\n", 12), "bom": (b"\xef\xbb\xbfMTXC 1 1\n1 0\n", 0)}
+
+
+@pytest.mark.parametrize("command", ["gap", "log", "pair"])
+@pytest.mark.parametrize("kind", sorted(NON_ASCII))
+def test_non_ascii_file_rejected(tmp_path, capsys, monkeypatch, command, kind):
+    raw, offset = NON_ASCII[kind]
+    (tmp_path / "bad.mtxc").write_bytes(raw)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "bad.mtxc"] + (["bad.mtxc"] if command == "pair" else [])
+    assert main(argv) == EXIT_REJECTED
+    assert capsys.readouterr().err == f"rejected: non-ASCII byte at offset {offset}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.mtxc"]
+
+
 @pytest.mark.parametrize("target", ["nan", "0", "-1"])
 def test_log_target_rejected_by_the_truncation(tmp_path, capsys, target):
     # choose_truncation is the only check of the target
@@ -238,7 +253,8 @@ def test_sweep_past_the_order_cap_records_nan_rows_promptly(tmp_path):
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
     assert len(rows) == 4
     cells = [dict(zip(CSV_FIELDS, row.split(","))) for row in rows]
-    assert all(c["dist_u"] == "nan" and c["trunc_order"] == "0" for c in cells)
+    assert all(c["dist_u"] == "nan" and c["trunc_order1"] == c["trunc_order2"] == "0"
+               for c in cells)
     assert all(c["failure"] == "PreconditionError" for c in cells)
 
 

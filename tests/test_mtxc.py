@@ -146,6 +146,14 @@ class TestTokens:
             mtxc.loads("\n".join(lines))
         assert "'0x1p0'" in str(info.value.__cause__)
 
+    def test_first_bad_row_wins_whatever_its_fault(self):
+        # row 0 has a non-numeric token, row 2 is one value short
+        lines = mtxc.dumps(np.eye(3)).splitlines()
+        lines[1] = lines[1].replace("1", "one", 1)
+        lines[3] = lines[3].rsplit(" ", 1)[0]
+        with pytest.raises(InvalidInputError, match="^row 0: non-numeric value$"):
+            mtxc.loads("\n".join(lines))
+
     def test_underscore_digits_parse_as_python_floats(self):
         assert np.array_equal(mtxc.loads("MTXC 1 1\n1_0 -2_5.5e-1\n"),
                               np.array([[10 - 25.5e-1j]]))
@@ -154,3 +162,26 @@ class TestTokens:
     def test_non_finite_rejected(self, token):
         with pytest.raises(InvalidInputError, match="non-finite"):
             mtxc.loads(f"MTXC 1 2\n0 0 0 0\n0 {token} 0 0\n")
+
+    def test_loads_keeps_pythons_float_grammar_on_a_str(self):
+        # only read() asks for ASCII; U+0661 is ARABIC-INDIC DIGIT ONE
+        assert np.array_equal(mtxc.loads("MTXC 1 1\n\u0661 0\n"), np.array([[1 + 0j]]))
+
+
+class TestAscii:
+    @pytest.mark.parametrize("raw, offset", [(b"MTXC 1 1\n1 0\xff\n", 12),
+                                             (b"\xef\xbb\xbfMTXC 1 1\n1 0\n", 0)],
+                             ids=["ff", "bom"])
+    def test_non_ascii_byte_rejected_at_its_offset(self, tmp_path, raw, offset):
+        path = tmp_path / "bad.mtxc"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidInputError, match=f"^non-ASCII byte at offset {offset}$"):
+            mtxc.read(path)
+
+    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+        text = mtxc.dumps(np.array([[0.6 + 0.8j, -0.0], [1e-300, 2.5]]))
+        path = tmp_path / "crlf.mtxc"
+        path.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        back = mtxc.read(path)
+        assert np.array_equal(back.view(np.float64), mtxc.loads(text).view(np.float64))
+        assert np.signbit(back.real[0, 1])

@@ -118,6 +118,12 @@ class TestNearCommutingUnitaries:
             near_commuting_unitaries(u, v, PipelineOptions(min_gap=0.3))
         assert info.value.gaps[0] == pytest.approx(np.pi / 16, abs=1e-12)
 
+    def test_gap_too_small_error_message_is_the_message_alone(self):
+        # positional gaps stay out of args, so str(exc) is the message
+        for exc, gaps in [(GapTooSmallError("m", (0.1, 0.2)), (0.1, 0.2)),
+                          (GapTooSmallError("m", gaps=(0.1,)), (0.1,))]:
+            assert (exc.args, str(exc), exc.gaps) == (("m",), "m", gaps)
+
     def test_perturbed_pair_full_contract(self):
         u, v, eps = gen_almost_commuting_pair(8, 1.0, 1e-3, 77)
         res = near_commuting_unitaries(u, v)

@@ -1,12 +1,14 @@
 """Sweep configuration, records, persistence, determinism."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nearcomm import ExperimentConfig, InvalidInputError, NumericalError, run_sweep, summarize
-from nearcomm.sweep import CSV_FIELDS, _fmt, records_to_csv
+from nearcomm import (ExperimentConfig, InvalidInputError, NumericalError, PipelineOptions,
+                      gen_almost_commuting_pair, near_commuting_unitaries, run_sweep, summarize)
+from nearcomm.sweep import CSV_FIELDS, _fmt
 
 
 def small_config(tmp_path=None, **overrides):
@@ -91,7 +93,7 @@ class TestRunSweep:
         for rec in records:
             assert rec.comm_after <= 1e-10 * rec.n
             slack = 2 * (2 * np.pi) * 2e-6  # tails bounded by the series target
-            assert rec.log_comm <= rec.predicted_bound + slack
+            assert rec.measured_log_comm <= rec.predicted_bound + slack
             assert rec.eps_actual <= 2 * rec.eps_target * (1 + 1e-10)
             assert rec.converged
 
@@ -128,6 +130,22 @@ class TestRunSweep:
         # a checked result names no failure: the last column is empty
         assert CSV_FIELDS[-1] == "failure" and records[0].failure == ""
         assert all(line.endswith(",") for line in lines[2:])
+
+    def test_csv_columns_are_the_pipelines_flat_values(self, tmp_path):
+        # a column that flat() also has holds flat()'s value for the same pair,
+        # so a rename in flat() fails here
+        cfg = small_config(tmp_path=tmp_path)
+        run_sweep(cfg)
+        rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
+        opts = PipelineOptions(series_target=cfg.series_target)
+        shared = set()
+        for (i, eps), t in itertools.product(enumerate(cfg.epsilons), range(cfg.trials)):
+            u, v, _ = gen_almost_commuting_pair(cfg.n, cfg.delta, eps, cfg.seed, i, t)
+            flat = near_commuting_unitaries(u, v, opts).flat()
+            cells = dict(zip(CSV_FIELDS, rows[i * cfg.trials + t].split(",")))
+            shared = cells.keys() & flat.keys()
+            assert all(cells[name] == _fmt(flat[name]) for name in shared)
+        assert shared == set(CSV_FIELDS) - {"seed", "eps_target", "eps_actual", "failure"}
 
     def test_records_order_matches_config(self):
         records = run_sweep(small_config())
@@ -203,8 +221,3 @@ class TestSummarize:
         assert math.isnan(summary.median_eps_actual[0])
         assert math.isnan(summary.median_distance[0])
         assert math.isnan(summary.slope)
-
-    def test_csv_no_comment_roundtrip(self):
-        records = run_sweep(small_config())
-        text = records_to_csv(records)
-        assert text.splitlines()[0] == ",".join(CSV_FIELDS)
