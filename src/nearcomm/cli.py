@@ -20,7 +20,7 @@ from .gapped_log import direct_log
 # bound under the names perfbench's tracer looks up; neither is called here
 from .gapped_log import choose_truncation as certified_truncation, gapped_log  # noqa: F401
 from .linalg import UnitaryMatrix
-from .pipeline import PipelineOptions, log_certificate, near_commuting_unitaries
+from .pipeline import SERIES_TARGET, PipelineOptions, log_certificate, near_commuting_unitaries
 from .spectral import center_gap
 from .sweep import ExperimentConfig, _fmt, run_sweep, summarize
 
@@ -69,8 +69,7 @@ def _cmd_log(args) -> int:
 def _cmd_pair(args) -> int:
     u = _load_unitary(args.u)
     v = _load_unitary(args.v)
-    opts = PipelineOptions(min_gap=args.min_gap, series_target=args.target)
-    result = near_commuting_unitaries(u, v, opts)
+    result = near_commuting_unitaries(u, v, PipelineOptions(min_gap=args.min_gap))
     if not result.converged:
         print(
             f"warning: joint diagonalization did not converge after {result.sweeps} sweeps",
@@ -101,7 +100,6 @@ def _cmd_sweep(args) -> int:
         epsilons=tuple(eps),
         trials=args.trials,
         seed=args.seed,
-        series_target=args.target,
         out_path=args.out,
     )
     records = run_sweep(config)
@@ -152,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_log = sub.add_parser("log", help="certified logarithm of a gapped unitary")
     p_log.add_argument("matrix")
-    p_log.add_argument("--target", type=float, default=1e-6)
+    p_log.add_argument("--target", type=float, default=SERIES_TARGET)
     p_log.add_argument("--out", default="log.mtxc")
     p_log.set_defaults(func=_cmd_log)
 
@@ -160,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("u")
     p_pair.add_argument("v")
     p_pair.add_argument("--min-gap", type=float, default=0.1)
-    p_pair.add_argument("--target", type=float, default=1e-6)
     p_pair.add_argument("--out-x", default="x.mtxc")
     p_pair.add_argument("--out-y", default="y.mtxc")
     p_pair.set_defaults(func=_cmd_pair)
@@ -174,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--target", type=float, default=1e-6)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_gen = sub.add_parser("generate", help="write test ensembles as MTXC files")

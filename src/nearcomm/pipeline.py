@@ -34,15 +34,14 @@ from .spectral import Eigensystem, GapInfo, center_gap
 
 @dataclass(frozen=True)
 class PipelineOptions:
+    """min_gap: each input's largest gap half-width must be above it, else GapTooSmallError."""
+
     min_gap: float = 0.1
-    series_target: float = 1e-6
 
     def __post_init__(self):
-        # written so that NaN fails both
+        # written so that NaN fails
         if not self.min_gap >= 0:
             raise InvalidInputError(f"min_gap must be nonnegative, got {self.min_gap}")
-        if not self.series_target > 0:
-            raise InvalidInputError(f"series_target must be positive, got {self.series_target}")
 
 
 DEFAULT_OPTIONS = PipelineOptions()
@@ -129,11 +128,18 @@ class PipelineResult:
         }
 
 
-def log_certificate(es: Eigensystem, target: float) -> tuple[float, int, float, float]:
+# the series tail that fixes K; it bounds only W's remainder, never a log
+SERIES_TARGET = 1e-6
+
+
+def log_certificate(
+    es: Eigensystem, target: float = SERIES_TARGET
+) -> tuple[float, int, float, float]:
     """(gamma, K, tail, W) of the series at gamma = min |theta| that certifies direct_log(es).
 
-    gamma is kept below pi, which a scalar's theta = pi reaches. Both
-    near_commuting_unitaries and nearcomm log certify their logs here.
+    K is the least order whose tail at gamma meets target: SERIES_TARGET in
+    near_commuting_unitaries and by default in nearcomm log. gamma is kept
+    below pi, which a scalar's theta = pi reaches.
     """
     gamma = min(es.margin, math.nextafter(math.pi, 0))
     order = certified_truncation(gamma, target)
@@ -199,8 +205,8 @@ def near_commuting_unitaries(
         )
 
     log_u, log_v = direct_log(es_u), direct_log(es_v)
-    gamma1, order1, tail1, w_u = log_certificate(es_u, opts.series_target)
-    gamma2, order2, tail2, w_v = log_certificate(es_v, opts.series_target)
+    gamma1, order1, tail1, w_u = log_certificate(es_u)
+    gamma2, order2, tail2, w_v = log_certificate(es_v)
 
     measured_log_comm = operator_norm(commutator(log_u, log_v))
     alpha = w_u * w_v

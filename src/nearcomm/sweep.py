@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensembles import check_ensemble_params, check_seed, gen_almost_commuting_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
-from .pipeline import PipelineOptions, PipelineResult, near_commuting_unitaries
+from .pipeline import DEFAULT_OPTIONS, PipelineResult, near_commuting_unitaries
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class ExperimentConfig:
     epsilons: tuple[float, ...]
     trials: int
     seed: int
-    series_target: float = 1e-6
     out_path: str | None = None
 
     def __post_init__(self):
@@ -124,12 +123,10 @@ def _trial_record(
 def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
     """All (epsilon, trial) cells through the pipeline, in deterministic order.
 
-    The pipeline runs with its default options and config.series_target.
-    Failed trials are recorded with NaN measurements and the error's class
-    name rather than aborting the sweep. If config.out_path is set the
-    records are persisted as CSV.
+    The pipeline runs with its default options. Failed trials are recorded
+    with NaN measurements and the error's class name rather than aborting
+    the sweep. If config.out_path is set the records are persisted as CSV.
     """
-    opts = PipelineOptions(series_target=config.series_target)
     records: list[TrialRecord] = []
     for i, eps in enumerate(config.epsilons):
         for t in range(config.trials):
@@ -138,7 +135,7 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
                 u, v, eps_actual = gen_almost_commuting_pair(
                     config.n, config.delta, eps, config.seed, i, t
                 )
-                res = near_commuting_unitaries(u, v, opts)
+                res = near_commuting_unitaries(u, v, DEFAULT_OPTIONS)
             except (PreconditionError, InvalidInputError, NumericalError,
                     np.linalg.LinAlgError) as exc:
                 res = exc

@@ -65,7 +65,6 @@ def contract_sweep(tmp_path_factory):
         epsilons=(1e-1, 1e-2, 1e-3, 1e-4),
         trials=20,
         seed=SEED,
-        series_target=1e-6,
         out_path=str(path),
     )
     records = run_sweep(config)
@@ -233,7 +232,7 @@ def test_criterion_9_determinism(contract_sweep, tmp_path):
     rerun_path = tmp_path / "rerun.csv"
     rerun = ExperimentConfig(
         n=config.n, delta=config.delta, epsilons=config.epsilons,
-        trials=config.trials, seed=config.seed, series_target=config.series_target,
+        trials=config.trials, seed=config.seed,
     )
     records = run_sweep(rerun)
     write_records(rerun_path, records, rerun)

@@ -12,7 +12,7 @@ import pytest
 
 import nearcomm
 from nearcomm import (commutator, direct_log, gen_almost_commuting_pair, gen_gapped_unitary,
-                      gen_voiculescu_pair, jointdiag, near_commuting_unitaries, operator_norm)
+                      gen_voiculescu_pair, jointdiag, operator_norm)
 from nearcomm import mtxc
 from nearcomm.linalg import herm_exp
 from nearcomm.cli import EXIT_OK, EXIT_REJECTED, main
@@ -83,17 +83,27 @@ def test_log_writes_exponentiable_matrix(tmp_path, capsys):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_log_is_the_pipelines_log_and_certificate(tmp_path, capsys, seed):
-    # one gamma policy: nearcomm log certifies at the pair path's gamma and K,
-    # and writes the exact log of the centered eigensystem
+    # one gamma policy and one target: on each input of a pair, nearcomm log
+    # prints the gamma, K and tail that nearcomm pair prints for it, its W
+    # values multiply to pair's alpha_emp, and it writes the exact log of the
+    # centered eigensystem
     u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, seed)
-    u_path, h_path = tmp_path / "u.mtxc", tmp_path / "h.mtxc"
-    mtxc.write(u_path, u.mat)
-    assert main(["log", str(u_path), "--out", str(h_path)]) == EXIT_OK
-    kv = parse_kv(capsys.readouterr().out)
-    flat = near_commuting_unitaries(u, v).flat()
-    assert [kv[k] for k in ("gamma", "trunc_order", "tail")] == \
-        [_fmt(flat[k]) for k in ("gamma1", "trunc_order1", "tail1")]
-    assert h_path.read_bytes() == mtxc.dumps(direct_log(center_gap(u)[0]).mat).encode("ascii")
+    paths = {"1": tmp_path / "u.mtxc", "2": tmp_path / "v.mtxc"}
+    mtxc.write(paths["1"], u.mat)
+    mtxc.write(paths["2"], v.mat)
+    assert main(["pair", str(paths["1"]), str(paths["2"]), "--out-x", str(tmp_path / "x.mtxc"),
+                 "--out-y", str(tmp_path / "y.mtxc")]) == EXIT_OK
+    pair_kv = parse_kv(capsys.readouterr().out)
+    h_path = tmp_path / "h.mtxc"
+    weighted = 1.0
+    for which, w in (("1", u), ("2", v)):
+        assert main(["log", str(paths[which]), "--out", str(h_path)]) == EXIT_OK
+        kv = parse_kv(capsys.readouterr().out)
+        assert [kv[k] for k in ("gamma", "trunc_order", "tail")] == \
+            [pair_kv[k + which] for k in ("gamma", "trunc_order", "tail")]
+        assert h_path.read_bytes() == mtxc.dumps(direct_log(center_gap(w)[0]).mat).encode("ascii")
+        weighted *= float(kv["weighted_sum"])
+    assert float(pair_kv["alpha_emp"]) == weighted
 
 
 def test_pair_produces_commuting_files(tmp_path, capsys):
@@ -210,46 +220,31 @@ def test_log_target_rejected_by_the_truncation(tmp_path, capsys, target):
     assert not (tmp_path / "h.mtxc").exists()
 
 
-def run_nearcomm(args, cwd):
-    """nearcomm in a subprocess, killed after 10 s so that a hang fails instead of stalling."""
-    env = {**os.environ, "PYTHONPATH": str(Path(nearcomm.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-m", "nearcomm", *args], capture_output=True,
-                          text=True, timeout=10, cwd=cwd, env=env)
-
-
-def assert_rejected_for_order(proc):
-    lines = proc.stderr.splitlines()
-    assert proc.returncode == EXIT_REJECTED, proc.stderr
-    assert len(lines) == 1, proc.stderr
-    assert re.fullmatch(r"rejected: .* need truncation order ~\d\.\de\d+ > 4194304", lines[0])
-
-
-@pytest.mark.parametrize("target", ["1e-300", "1e-30", "5e-324"])
-def test_pair_past_the_order_cap_rejected_promptly(tmp_path, target):
-    # 1e-300 looped from K ~ 1e100, 1e-30 asked numpy for 210 GiB and
-    # 5e-324 overflowed math.ceil
-    main(["generate", "pair", "--n", "4", "--delta", "1.0", "--eps", "0.001", "--seed", "4",
-          "--out-u", str(tmp_path / "u.mtxc"), "--out-v", str(tmp_path / "v.mtxc")])
-    proc = run_nearcomm(["pair", "u.mtxc", "v.mtxc", "--target", target], tmp_path)
-    assert_rejected_for_order(proc)
-    assert not (tmp_path / "x.mtxc").exists()
-
-
 def test_log_past_the_order_cap_rejected_promptly(tmp_path):
-    # two of the pair test's targets: 1e-300 needs K ~ 1e100 and 5e-324 overflowed math.ceil
+    # 1e-300 looped from K ~ 1e100 and 5e-324 overflowed math.ceil; the
+    # subprocess is killed after 10 s so that a hang fails instead of stalling
     main(["generate", "gapped", "--n", "4", "--delta", "0.5", "--seed", "3",
           "--out", str(tmp_path / "u.mtxc")])
+    env = {**os.environ, "PYTHONPATH": str(Path(nearcomm.__file__).parents[1])}
     for target in ("1e-300", "5e-324"):
-        proc = run_nearcomm(["log", "u.mtxc", "--target", target], tmp_path)
-        assert_rejected_for_order(proc)
+        proc = subprocess.run([sys.executable, "-m", "nearcomm", "log", "u.mtxc",
+                               "--target", target], capture_output=True, text=True,
+                              timeout=10, cwd=tmp_path, env=env)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == EXIT_REJECTED and len(lines) == 1, proc.stderr
+        assert re.fullmatch(r"rejected: .* need truncation order ~\d\.\de\d+ > 4194304",
+                            lines[0])
         assert not (tmp_path / "log.mtxc").exists()
 
 
-def test_sweep_past_the_order_cap_records_nan_rows_promptly(tmp_path):
-    proc = run_nearcomm(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0.01",
-                         "--eps-end", "0.001", "--points", "2", "--trials", "2", "--seed", "1",
-                         "--out", "sweep.csv", "--target", "1e-300"], tmp_path)
-    assert proc.returncode == EXIT_OK, proc.stderr
+def test_sweep_past_the_order_cap_records_nan_rows_promptly(tmp_path, capsys, monkeypatch):
+    # gamma > 0.05 at the default min_gap keeps K below 2^22, so the cap is
+    # lowered to one that every trial's K of a few hundred exceeds
+    monkeypatch.setattr(sys.modules["nearcomm.gapped_log"], "MAX_TRUNCATION_ORDER", 8)
+    assert main(["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0.01",
+                 "--eps-end", "0.001", "--points", "2", "--trials", "2", "--seed", "1",
+                 "--out", str(tmp_path / "sweep.csv")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
     rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
     assert len(rows) == 4
     cells = [dict(zip(CSV_FIELDS, row.split(","))) for row in rows]

@@ -1,8 +1,12 @@
-"""The package root exports the entry points and nothing else."""
+"""The package root exports the entry points and nothing else; the settable surface is pinned."""
 
+import argparse
 import dataclasses
 
+import pytest
+
 import nearcomm
+from nearcomm.cli import build_parser, main
 
 PUBLIC = {
     # what the acceptance suite imports
@@ -41,7 +45,58 @@ def test_all_is_the_public_api_and_resolves():
         assert getattr(nearcomm, name) is not None
 
 
-def test_pipeline_options_are_the_two_knobs():
-    # the tolerances and the sweep budget are module constants, not options
-    names = tuple(f.name for f in dataclasses.fields(nearcomm.PipelineOptions))
-    assert names == ("min_gap", "series_target")
+def test_settable_values_are_pinned():
+    # the tolerances, the series target and the sweep budget are module
+    # constants, not options
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(nearcomm.PipelineOptions) == ("min_gap",)
+    assert names(nearcomm.ExperimentConfig) == (
+        "n", "delta", "epsilons", "trials", "seed", "out_path")
+
+
+def subcommand_options(parser, prefix=()):
+    """{subcommand path: its positionals' names and its flags}, generate's kinds included."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out.update(subcommand_options(sub, prefix + (name,)))
+    if prefix:
+        out[" ".join(prefix)] = [
+            action.option_strings[0] if action.option_strings else action.dest
+            for action in parser._actions
+            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+        ]
+    return out
+
+
+def test_cli_options_are_pinned():
+    assert subcommand_options(build_parser()) == {
+        "gap": ["matrix"],
+        "log": ["matrix", "--target", "--out"],
+        "pair": ["u", "v", "--min-gap", "--out-x", "--out-y"],
+        "sweep": ["--n", "--delta", "--eps-start", "--eps-end", "--points", "--trials",
+                  "--seed", "--out"],
+        "generate": [],
+        "generate gapped": ["--n", "--delta", "--seed", "--out"],
+        "generate pair": ["--n", "--delta", "--eps", "--seed", "--out-u", "--out-v"],
+        "generate voiculescu": ["--n", "--out-u", "--out-v"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["pair", "u.mtxc", "v.mtxc"],
+    ["sweep", "--n", "4", "--delta", "1.0", "--eps-start", "0.01", "--eps-end", "0.001",
+     "--points", "2", "--trials", "1", "--seed", "1", "--out", "sweep.csv"],
+])
+def test_series_target_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # an old script that still passes --target fails before it reads or writes a file
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--target", "1e-6"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: nearcomm ") and "unrecognized arguments: --target 1e-6" in err
+    assert list(tmp_path.iterdir()) == []

@@ -51,7 +51,7 @@ gapped_log_module = importlib.import_module("nearcomm.gapped_log")
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
-def single_term_certificate(es, target) -> tuple[float, int, float, float]:
+def single_term_certificate(es) -> tuple[float, int, float, float]:
     """(gamma, K, tail, W) of c_{-1} = -i, c_0 = 0, c_1 = i: weighted sum 2."""
     return 1.0, 1, 0.0, 2.0
 
@@ -93,8 +93,7 @@ class TestLogCommutatorBound:
 class TestPipelineOptions:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"min_gap": float("nan")}, {"min_gap": -0.1},
-         {"series_target": 0.0}, {"series_target": float("nan")}],
+        [{"min_gap": float("nan")}, {"min_gap": -0.1}],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidInputError):
@@ -211,16 +210,6 @@ class TestNearCommutingUnitaries:
         monkeypatch.setattr(pipeline, "COMMUTE_TOL", res.comm_after / 8)
         with pytest.raises(NumericalError, match="output commutator"):
             near_commuting_unitaries(u, v)
-
-    def test_outputs_do_not_depend_on_the_series_target(self):
-        # the target sets only the coefficients' order, which the exact log never reads
-        u, v, _ = gen_almost_commuting_pair(32, 1.0, 1e-3, 11, 2)
-        runs = [near_commuting_unitaries(u, v, PipelineOptions(series_target=t))
-                for t in (1e-3, 1e-6, 1e-9)]
-        assert len({res.trunc_order1 for res in runs}) == 3
-        for res in runs[1:]:
-            assert res.x.mat.tobytes() == runs[0].x.mat.tobytes()
-            assert res.y.mat.tobytes() == runs[0].y.mat.tobytes()
 
     def test_gamma_is_the_smallest_centered_angle(self):
         u, v, _ = gen_almost_commuting_pair(8, 1.0, 1e-3, 5)

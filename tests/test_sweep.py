@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nearcomm import (ExperimentConfig, InvalidInputError, NumericalError, PipelineOptions,
+from nearcomm import (ExperimentConfig, InvalidInputError, NumericalError,
                       gen_almost_commuting_pair, near_commuting_unitaries, run_sweep, summarize)
 from nearcomm.sweep import CSV_FIELDS, _fmt
 
@@ -18,7 +18,6 @@ def small_config(tmp_path=None, **overrides):
         epsilons=(1e-2, 1e-3),
         trials=2,
         seed=7,
-        series_target=1e-6,
         out_path=None if tmp_path is None else str(tmp_path / "sweep.csv"),
     )
     kwargs.update(overrides)
@@ -108,7 +107,7 @@ class TestRunSweep:
         first = (tmp_path / "sweep.csv").read_bytes()
         cfg2 = ExperimentConfig(
             n=cfg1.n, delta=cfg1.delta, epsilons=cfg1.epsilons, trials=cfg1.trials,
-            seed=cfg1.seed, series_target=cfg1.series_target,
+            seed=cfg1.seed,
             out_path=str(tmp_path / "sweep2.csv"),
         )
         run_sweep(cfg2)
@@ -137,11 +136,10 @@ class TestRunSweep:
         cfg = small_config(tmp_path=tmp_path)
         run_sweep(cfg)
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
-        opts = PipelineOptions(series_target=cfg.series_target)
         shared = set()
         for (i, eps), t in itertools.product(enumerate(cfg.epsilons), range(cfg.trials)):
             u, v, _ = gen_almost_commuting_pair(cfg.n, cfg.delta, eps, cfg.seed, i, t)
-            flat = near_commuting_unitaries(u, v, opts).flat()
+            flat = near_commuting_unitaries(u, v).flat()
             cells = dict(zip(CSV_FIELDS, rows[i * cfg.trials + t].split(",")))
             shared = cells.keys() & flat.keys()
             assert all(cells[name] == _fmt(flat[name]) for name in shared)
