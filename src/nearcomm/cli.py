@@ -19,10 +19,9 @@ from .errors import InvalidInputError, NumericalError, PreconditionError
 from .gapped_log import direct_log
 # bound under the names perfbench's tracer looks up; neither is called here
 from .gapped_log import choose_truncation as certified_truncation, gapped_log  # noqa: F401
-from .linalg import UnitaryMatrix
 from .pipeline import SERIES_TARGET, PipelineOptions, log_certificate, near_commuting_unitaries
 from .spectral import center_gap
-from .sweep import ExperimentConfig, _fmt, run_sweep, summarize
+from .sweep import ExperimentConfig, _fmt, run_sweep, summarize, write_records
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -34,26 +33,22 @@ def _print_kv(pairs: dict) -> None:
         print(f"{key}={_fmt(value)}")
 
 
-def _load_unitary(path: str) -> UnitaryMatrix:
-    return UnitaryMatrix.from_array(mtxc.read(path))
-
-
 def _cmd_gap(args) -> int:
-    u = _load_unitary(args.matrix)
+    u = mtxc.read(args.matrix)
     _, gap = center_gap(u)
-    _print_kv({"n": u.n, **dataclasses.asdict(gap)})
+    _print_kv({"n": u.shape[0], **dataclasses.asdict(gap)})
     return EXIT_OK
 
 
 def _cmd_log(args) -> int:
-    u = _load_unitary(args.matrix)
+    u = mtxc.read(args.matrix)
     es, gap = center_gap(u)
     h = direct_log(es)
     gamma, order, tail, w = log_certificate(es, args.target)
     mtxc.write(args.out, h.mat)
     _print_kv(
         {
-            "n": u.n,
+            "n": u.shape[0],
             "zeta": gap.center,
             "half_width": gap.half_width,
             "gamma": gamma,
@@ -67,8 +62,7 @@ def _cmd_log(args) -> int:
 
 
 def _cmd_pair(args) -> int:
-    u = _load_unitary(args.u)
-    v = _load_unitary(args.v)
+    u, v = mtxc.read(args.u), mtxc.read(args.v)
     result = near_commuting_unitaries(u, v, PipelineOptions(min_gap=args.min_gap))
     if not result.converged:
         print(
@@ -100,9 +94,9 @@ def _cmd_sweep(args) -> int:
         epsilons=tuple(eps),
         trials=args.trials,
         seed=args.seed,
-        out_path=args.out,
     )
     records = run_sweep(config)
+    write_records(args.out, records, config)
     summary = summarize(records)
     _print_kv(
         {

@@ -17,7 +17,6 @@ from .linalg import (
     UnitaryMatrix,
     certified_unitary,
     commutator,
-    herm_exp,
     operator_norm,
     unitary_from_angles,
 )
@@ -51,13 +50,6 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diag(r)
     return q * (d / np.abs(d))
-
-
-def random_hermitian_unit_norm(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random Hermitian matrix scaled to unit operator norm."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = (z + z.conj().T) / 2.0
-    return h / operator_norm(h)
 
 
 def check_ensemble_params(n: int, delta: float) -> None:
@@ -96,8 +88,11 @@ def gen_almost_commuting_pair(
 
     U0 = Q diag(e^{i*alpha}) Q^H and V = V0 = Q diag(e^{i*beta}) Q^H share
     a Haar basis Q, with every alpha_j, beta_j in [delta, 2pi - delta];
-    U = W U0 for W = exp(i*eps*G), |G| = 1. W is within eps_target of the
-    identity, so the measured commutator norm is at most 2*eps_target.
+    U = W U0 for W = exp(i*eps*G), |G| = 1. G is (Z + Z^H)/2 for a complex
+    Gaussian Z, scaled by its largest eigenvalue modulus: one eigh gives
+    its eigenbasis P and eigenvalues w, and W = P diag(e^{i*eps*w/max|w|}) P^H
+    is built from them. W is within eps_target of the identity, so the
+    measured commutator norm is at most 2*eps_target.
     A pair is returned only if both gaps at angle 0 are at least delta/2;
     otherwise the draw is retried with a fresh sub-stream, and after
     MAX_REGEN_RETRIES draws NumericalError is raised.
@@ -111,17 +106,19 @@ def gen_almost_commuting_pair(
     measured check reads the angles of the computed unitary_eigensystem of
     the rounded matrices, so the margin covers, with u the unit roundoff
     and rho = 24 (n + 1)^2 u:
-    - the rounding of the built U0 and of W = herm_exp(eps G): four n x n
-      products (U0, V0, W and W U0), each erring by at most
-      sqrt(2) gamma_2n n <= 3 n^2 u in norm for factors of unit norm
-      (Higham, Accuracy and Stability of Numerical Algorithms, 3.5), and
-      two factorizations, QR for Q and eigh in herm_exp, taken as
-      backward stable to within n u; so the computed U and V are within
-      rho, at least twice the sum of these terms, of the exactly unitary
-      W* U0* and V0* built from the same angles and the same eps G;
-    - |G| = 1 only to rounding: G is divided by its Gram-eigvalsh norm,
-      which errs by at most 4 n (n + 2) u relative, and eps*G rounds once
-      more, so |eps G| <= eps (1 + rho);
+    - the rounding of the built U0 and W: four n x n products (U0, V0, W
+      and W U0), each erring by at most sqrt(2) gamma_2n n <= 3 n^2 u in
+      norm for factors of unit norm (Higham, Accuracy and Stability of
+      Numerical Algorithms, 3.5), and two factorizations, QR for Q and
+      eigh for P, taken as backward stable to within n u; so the computed
+      U and V are within rho, at least twice the sum of these terms, of
+      the exactly unitary W* U0* and V0* built from the same angles on the
+      nearest unitary bases;
+    - the angles of W: a correctly rounded quotient is monotone and
+      max|w|/max|w| = 1 exactly, so every w_j/max|w| lies in [-1, 1], and
+      eps times it rounds once, so each angle is at most eps (1 + u) <=
+      eps (1 + rho) in modulus: W* = exp(i eps G*) for a G* with
+      |G*| <= 1 + u;
     - the slack of the measured check: its eigensystem Z, angles theta
       passes |Z diag(e^{i*theta}) Z^H - U| <= tau = UNITARITY_TOL * n,
       with Z orthonormal to within rho, so each e^{i*theta_j}
@@ -148,8 +145,9 @@ def gen_almost_commuting_pair(
         basis = haar_unitary(n, rng)
         u0 = unitary_from_angles(basis, angles_u)
         v0 = unitary_from_angles(basis, angles_v)
-        g = random_hermitian_unit_norm(n, rng)
-        u_mat = herm_exp(eps_target * g).mat @ u0
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w, p = np.linalg.eigh((z + z.conj().T) / 2.0)
+        u_mat = unitary_from_angles(p, eps_target * (w / np.max(np.abs(w)))) @ u0
         u = certified_unitary(u_mat, "perturbed U")
         v = certified_unitary(v0, "V")
         if settled or all(unitary_eigensystem(m).margin >= delta / 2.0 for m in (u, v)):

@@ -151,9 +151,12 @@ def near_commuting_unitaries(
 ) -> PipelineResult:
     """Commuting unitary pair (X, Y) near the almost-commuting input (U, V).
 
-    Rejects inputs whose largest spectral gap half-width is at or below
-    opts.min_gap. The returned pair commutes within the commute tolerance;
-    the result carries all measured distances and the bound report.
+    Each input is checked before any arithmetic on it: center_gap trusts a
+    UnitaryMatrix and checks a plain array by UnitaryMatrix.from_array, and
+    only then is |[U, V]| taken. Rejects inputs whose largest spectral gap
+    half-width is at or below opts.min_gap. The returned pair commutes
+    within the commute tolerance; the result carries all measured
+    distances and the bound report.
 
     center_gap returns U's gap and the eigensystem (Z, Theta) of the
     centered input U_c = e^{-i*zeta1} U, zeta1 = gap1.center; U_c itself
@@ -193,10 +196,9 @@ def near_commuting_unitaries(
     a_u = as_square_array(u, "U")
     a_v = as_square_array(v, "V")
     n = a_u.shape[0]
-    eps = operator_norm(commutator(a_u, a_v))
-
     es_u, gap1 = center_gap(u)
     es_v, gap2 = center_gap(v)
+    eps = operator_norm(commutator(a_u, a_v))
     if gap1.half_width <= opts.min_gap or gap2.half_width <= opts.min_gap:
         raise GapTooSmallError(
             f"gap half-widths ({gap1.half_width:.6f}, {gap2.half_width:.6f}) "

@@ -24,12 +24,17 @@ from .pipeline import DEFAULT_OPTIONS, PipelineResult, near_commuting_unitaries
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A sweep's parameters: trials pairs of dimension n and gap delta per epsilon, from seed.
+
+    It names no file: run_sweep returns the records, and write_records
+    persists them under the path its caller gives.
+    """
+
     n: int
     delta: float
     epsilons: tuple[float, ...]
     trials: int
     seed: int
-    out_path: str | None = None
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -125,7 +130,7 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
 
     The pipeline runs with its default options. Failed trials are recorded
     with NaN measurements and the error's class name rather than aborting
-    the sweep. If config.out_path is set the records are persisted as CSV.
+    the sweep. Nothing is written; write_records persists the records as CSV.
     """
     records: list[TrialRecord] = []
     for i, eps in enumerate(config.epsilons):
@@ -140,8 +145,6 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
                     np.linalg.LinAlgError) as exc:
                 res = exc
             records.append(_trial_record(config, eps, eps_actual, res))
-    if config.out_path is not None:
-        write_records(config.out_path, records, config)
     return records
 
 

@@ -65,9 +65,9 @@ def contract_sweep(tmp_path_factory):
         epsilons=(1e-1, 1e-2, 1e-3, 1e-4),
         trials=20,
         seed=SEED,
-        out_path=str(path),
     )
     records = run_sweep(config)
+    write_records(path, records, config)
     return config, records, path.read_bytes()
 
 

@@ -178,6 +178,22 @@ def test_nan_defect_rejected_not_a_numerical_failure(tmp_path, capsys):
     ]
 
 
+def test_pair_checks_each_file_before_the_commutator(tmp_path, capsys):
+    # [U, V] of these overflows; U's file is rejected for itself, once, with
+    # no warning, and no output is written
+    paths = [tmp_path / f"{name}.mtxc" for name in "uvxy"]
+    mtxc.write(paths[0], 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]))
+    mtxc.write(paths[1], np.diag([1e200, -1e200]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pair", str(paths[0]), str(paths[1]),
+                     "--out-x", str(paths[2]), "--out-y", str(paths[3])])
+    assert code == EXIT_REJECTED
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("rejected: unitarity defect nan ")
+    assert not paths[2].exists() and not paths[3].exists()
+
+
 @pytest.mark.parametrize("header, reason", [("MTXC 1 x", "bad dimension in header"),
                                             ("MTXC 1 0", "dimension must be positive")])
 def test_bad_dimension_in_header_rejected(tmp_path, capsys, header, reason):

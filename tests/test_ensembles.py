@@ -1,5 +1,7 @@
 """Deterministic generators: gapped unitaries, perturbed pairs, clock/shift."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,30 @@ class TestGapCheck:
             gen_almost_commuting_pair(32, 1.0, (1e-1, 1e-2, 1e-3, 1e-4)[i % 4], 11, i)
         assert calls == []
 
+    def test_pool_parameters_take_one_qr_one_eigh_three_eigvalsh(self, monkeypatch):
+        # per pair: QR for the Haar basis, eigh of G, and the norms of U's and
+        # V's unitarity defects and of [U, V]; G's norm is not taken apart
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("cholesky", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq", "qr",
+                     "solve", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("herm_exp called by the generator")
+
+        for module in (linalg, ensembles):
+            monkeypatch.setattr(module, "herm_exp", forbidden, raising=False)
+        for i in range(32):
+            gen_almost_commuting_pair(32, 1.0, (1e-1, 1e-2, 1e-3, 1e-4)[i % 4], 11, i)
+        assert Counter(calls) == {"qr": 32, "eigh": 32, "eigvalsh": 96}
+
     @PROPERTY
     @given(
         n=st.integers(1, 16),
@@ -192,7 +218,8 @@ class TestCertifiedOutput:
     """Every generated unitary passes the unitarity gate, not just records its defect."""
 
     def test_gapped_and_pair_generators_gate_the_defect(self, monkeypatch):
-        # doubled matrices have defect 3; herm_exp's own exponential is untouched
+        # doubled matrices have defect 3; the perturbation W is doubled too, so
+        # the perturbed U = W U0 has defect 15
         real = ensembles.unitary_from_angles
         monkeypatch.setattr(ensembles, "unitary_from_angles", lambda q, w: 2.0 * real(q, w))
         with pytest.raises(NumericalError, match="gapped unitary lost unitarity"):

@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,6 @@ from nearcomm import (
     spectral,
     stream_rng,
 )
-from nearcomm.ensembles import random_hermitian_unit_norm
 from nearcomm.gapped_log import LaurentCoefficients, weighted_sum
 from nearcomm.spectral import Eigensystem, center_gap
 
@@ -116,6 +116,15 @@ class TestNearCommutingUnitaries:
         with pytest.raises(GapTooSmallError) as info:
             near_commuting_unitaries(u, v, PipelineOptions(min_gap=0.3))
         assert info.value.gaps[0] == pytest.approx(np.pi / 16, abs=1e-12)
+
+    def test_inputs_checked_before_their_commutator(self):
+        # [U, V] of these overflows; U is rejected for itself, with no warning
+        u = 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]])
+        v = np.diag([1e200, -1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^unitarity defect nan "):
+                near_commuting_unitaries(u, v)
 
     def test_gap_too_small_error_message_is_the_message_alone(self):
         # positional gaps stay out of args, so str(exc) is the message
@@ -509,8 +518,10 @@ def edge_inputs(draw):
     v = linalg.unitary_from_angles(basis, _spectrum(draw(kinds), n, draw(shifts)))
     eps = draw(st.sampled_from([0.0, 1e-3, 1e-1]))
     if eps > 0:
-        g = random_hermitian_unit_norm(n, stream_rng(seed, 1))
-        v = linalg.herm_exp(eps * g).mat @ v
+        rng = stream_rng(seed, 1)
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (z + z.conj().T) / 2.0
+        v = linalg.herm_exp(eps * (h / operator_norm(h))).mat @ v
     mode = draw(st.sampled_from(["default", "above", "at"]))
     if mode == "default":
         return u, v, PipelineOptions().min_gap, False

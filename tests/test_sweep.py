@@ -8,20 +8,20 @@ import pytest
 
 from nearcomm import (ExperimentConfig, InvalidInputError, NumericalError,
                       gen_almost_commuting_pair, near_commuting_unitaries, run_sweep, summarize)
-from nearcomm.sweep import CSV_FIELDS, _fmt
+from nearcomm.sweep import CSV_FIELDS, _fmt, write_records
 
 
-def small_config(tmp_path=None, **overrides):
-    kwargs = dict(
-        n=4,
-        delta=1.0,
-        epsilons=(1e-2, 1e-3),
-        trials=2,
-        seed=7,
-        out_path=None if tmp_path is None else str(tmp_path / "sweep.csv"),
-    )
+def small_config(**overrides):
+    kwargs = dict(n=4, delta=1.0, epsilons=(1e-2, 1e-3), trials=2, seed=7)
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def swept(config, path):
+    """run_sweep's records, persisted at path by write_records."""
+    records = run_sweep(config)
+    write_records(path, records, config)
+    return records
 
 
 class TestConfigValidation:
@@ -102,22 +102,15 @@ class TestRunSweep:
         assert summary.median_distance[0] <= 1e-6
 
     def test_csv_written_and_deterministic(self, tmp_path):
-        cfg1 = small_config(tmp_path=tmp_path)
-        run_sweep(cfg1)
+        swept(small_config(), tmp_path / "sweep.csv")
         first = (tmp_path / "sweep.csv").read_bytes()
-        cfg2 = ExperimentConfig(
-            n=cfg1.n, delta=cfg1.delta, epsilons=cfg1.epsilons, trials=cfg1.trials,
-            seed=cfg1.seed,
-            out_path=str(tmp_path / "sweep2.csv"),
-        )
-        run_sweep(cfg2)
+        swept(small_config(), tmp_path / "sweep2.csv")
         second = (tmp_path / "sweep2.csv").read_bytes()
         strip = lambda raw: [ln for ln in raw.splitlines() if not ln.startswith(b"#")]
         assert strip(first) == strip(second)
 
     def test_csv_schema_and_precision(self, tmp_path):
-        cfg = small_config(tmp_path=tmp_path)
-        records = run_sweep(cfg)
+        records = swept(small_config(), tmp_path / "sweep.csv")
         lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == ",".join(CSV_FIELDS)
@@ -133,8 +126,8 @@ class TestRunSweep:
     def test_csv_columns_are_the_pipelines_flat_values(self, tmp_path):
         # a column that flat() also has holds flat()'s value for the same pair,
         # so a rename in flat() fails here
-        cfg = small_config(tmp_path=tmp_path)
-        run_sweep(cfg)
+        cfg = small_config()
+        swept(cfg, tmp_path / "sweep.csv")
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[2:]
         shared = set()
         for (i, eps), t in itertools.product(enumerate(cfg.epsilons), range(cfg.trials)):
@@ -144,6 +137,11 @@ class TestRunSweep:
             shared = cells.keys() & flat.keys()
             assert all(cells[name] == _fmt(flat[name]) for name in shared)
         assert shared == set(CSV_FIELDS) - {"seed", "eps_target", "eps_actual", "failure"}
+
+    def test_run_sweep_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_sweep(small_config())
+        assert list(tmp_path.iterdir()) == []
 
     def test_records_order_matches_config(self):
         records = run_sweep(small_config())
@@ -164,7 +162,7 @@ class TestRunSweep:
             raise NumericalError("did not converge")
 
         monkeypatch.setattr("nearcomm.sweep.near_commuting_unitaries", failing)
-        records = run_sweep(small_config(tmp_path=tmp_path))
+        records = swept(small_config(), tmp_path / "sweep.csv")
         assert len(records) == 4
         for rec in records:
             assert math.isnan(rec.dist_u) and not rec.converged
