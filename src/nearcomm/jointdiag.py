@@ -35,8 +35,8 @@ _WARM_START_WEIGHT = 2.0**0.5 - 1.0
 # below rounding, so the iteration stops there instead of halving on
 _MAX_HALVINGS = 8
 
-# relative-improvement stop: the iteration is converged when the next
-# step's predicted decrease of off is at most this fraction of off
+# relative-improvement stop: the iteration is converged when the next step's
+# predicted decrease of off is at most this fraction of off, plus a floor
 _REL_IMPROVEMENT_TOL = 1e-12
 
 # sweep budget: an iteration that meets none of its stops within this many
@@ -110,26 +110,25 @@ def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.nd
 def nearest_commuting_pair(a, b) -> CommutingHermitianPair:
     """Exactly commuting Hermitian pair (A', B') near Hermitian (A, B).
 
-    A HermitianMatrix argument is trusted; a plain array is checked by
-    HermitianMatrix.from_array. Sweeps, started from the eigenbasis of
-    A + phi*B, rotate toward a joint near-diagonalizer Q. A sweep takes
-    the generator X of _newton_generator and the Cayley factor
+    A and B are taken by HermitianMatrix.of. Sweeps, started from the
+    eigenbasis of A + phi*B, rotate toward a joint near-diagonalizer Q. A
+    sweep takes the generator X of _newton_generator and the Cayley factor
     G = (I - X/2)^{-1}(I + X/2), which is unitary with rotation angles
     below pi, and maps the basis Q to QG; X is halved until off does not
     rise, at most _MAX_HALVINGS times. A' and B' are the diagonal parts in
     the final basis, returned in factored form as Q and the two real
     diagonals; each distance is measured on Q diag(d) Q^H. For commuting
     inputs with simple spectrum this reproduces the pair to rounding. The
-    iteration is converged when off is at most 1e-30 times the inputs'
-    squared Frobenius mass, when the next step's predicted decrease is at
-    most _REL_IMPROVEMENT_TOL times off, or when no halving lowers off. If
-    MAX_SWEEPS sweeps run out first, the result is flagged unconverged but
-    still commutes exactly.
+    iteration is converged when no halving lowers off, or when the next
+    step's predicted decrease P = 2 sum_{p<q} D |x_pq|^2 is at most
+    _REL_IMPROVEMENT_TOL * off + floor, floor = 1e-30 max(|A|_F^2 + |B|_F^2, 1).
+    That one test also stops an off at or below floor: x_pq = -(Da*a_pq +
+    Db*b_pq)/D is only ever scaled down, so by Cauchy-Schwarz D |x_pq|^2 <=
+    |a_pq|^2 + |b_pq|^2, and P <= 2 sum_{p<q} (|a_pq|^2 + |b_pq|^2), which
+    is off for an exactly Hermitian pair. If MAX_SWEEPS sweeps run out
+    first, the result is flagged unconverged but still commutes exactly.
     """
-    ma, mb = (
-        m.mat if isinstance(m, HermitianMatrix) else HermitianMatrix.from_array(m).mat
-        for m in (a, b)
-    )
+    ma, mb = (HermitianMatrix.of(m).mat for m in (a, b))
     if ma.shape != mb.shape:
         raise InvalidInputError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     n = ma.shape[0]
@@ -143,11 +142,12 @@ def nearest_commuting_pair(a, b) -> CommutingHermitianPair:
     floor = 1e-30 * max(scale, 1.0)
 
     history = [_off(w, mask)]
-    converged = history[0] <= floor
-    while not converged and len(history) <= MAX_SWEEPS:
+    converged = False
+    while len(history) <= MAX_SWEEPS:
         prev = history[-1]
         x, d = _newton_generator(*w)
-        if 2.0 * float(np.sum(d * np.abs(x.take(upper)) ** 2)) <= _REL_IMPROVEMENT_TOL * prev:
+        predicted = 2.0 * float(np.sum(d * np.abs(x.take(upper)) ** 2))
+        if predicted <= _REL_IMPROVEMENT_TOL * prev + floor:
             converged = True
             break
         for _ in range(_MAX_HALVINGS):
@@ -164,7 +164,6 @@ def nearest_commuting_pair(a, b) -> CommutingHermitianPair:
         w = trial
         basis = basis @ g
         history.append(cur)
-        converged = cur <= floor
 
     wa, wb = w
     diag_a = np.diag(wa).real

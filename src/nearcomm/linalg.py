@@ -14,9 +14,11 @@ exponential); it is recorded as 0 for an exact symmetrization
 gated_norm of the defect matrix, a certified upper bound within sqrt(n)
 of its operator norm that meets the tolerance exactly when that norm
 does; a reported defect (unitarity_defect, hermiticity_defect,
-certified_unitary) is the exact operator norm. A typed argument carries its
-certificate and is not measured again; a HermitianMatrix or UnitaryMatrix
-is built only with a defect an O(n^2) norm of it does not contradict.
+certified_unitary) is the exact operator norm. One rule decides trust:
+Cls.of(m) returns a Cls argument as it is, since it carries its
+certificate, and checks anything else by Cls.from_array; a
+HermitianMatrix or UnitaryMatrix is built only with a defect an O(n^2)
+norm of it does not contradict.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ class _CertifiedMatrix:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.mat, dtype=dtype)
 
+    @classmethod
+    def of(cls, m, name: str = "matrix"):
+        """m when it is a cls, trusted for its certificate; else cls.from_array(m, name)."""
+        return m if isinstance(m, cls) else cls.from_array(m, name)
+
 
 class HermitianMatrix(_CertifiedMatrix):
     """A matrix certified Hermitian up to the recorded defect |M - M^H|.
@@ -94,8 +101,8 @@ class HermitianMatrix(_CertifiedMatrix):
             )
 
     @classmethod
-    def from_array(cls, m) -> "HermitianMatrix":
-        a = as_square_array(m)
+    def from_array(cls, m, name: str = "matrix") -> "HermitianMatrix":
+        a = as_square_array(m, name)
         tol = HERMITICITY_TOL * a.shape[0]
         d = gated_norm(_skew(a), tol)
         if not d <= tol:
@@ -123,8 +130,8 @@ class UnitaryMatrix(_CertifiedMatrix):
                                     f"max |m_j|^2 - 1 less rounding, {worst:.3e}")
 
     @classmethod
-    def from_array(cls, m) -> "UnitaryMatrix":
-        a = as_square_array(m)
+    def from_array(cls, m, name: str = "matrix") -> "UnitaryMatrix":
+        a = as_square_array(m, name)
         tol = UNITARITY_TOL * a.shape[0]
         d = gated_norm(_gram_defect(a), tol)
         if not d <= tol:  # a NaN defect, from a product that overflowed, fails too
@@ -263,13 +270,11 @@ def certified_unitary(m: np.ndarray, what: str) -> UnitaryMatrix:
 def herm_exp(h) -> UnitaryMatrix:
     """exp(iH) for Hermitian H, via eigendecomposition.
 
-    A HermitianMatrix is trusted; a plain array is checked by
-    HermitianMatrix.from_array. The eigendecomposition route keeps the
-    result unitary to rounding and makes the eigenangles of the output
+    H is taken by HermitianMatrix.of. The eigendecomposition route keeps
+    the result unitary to rounding and makes the eigenangles of the output
     equal the eigenvalues of H mod 2pi; the output's unitarity is measured.
     """
-    if not isinstance(h, HermitianMatrix):
-        h = HermitianMatrix.from_array(h)
+    h = HermitianMatrix.of(h)
     n = h.n
     try:
         w, q = np.linalg.eigh(h.mat)

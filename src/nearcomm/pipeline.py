@@ -20,7 +20,6 @@ from .linalg import (
     COMMUTE_TOL,
     UnitaryMatrix,
     _frobenius_bound,
-    as_square_array,
     certified_unitary,
     commutator,
     operator_norm,
@@ -42,9 +41,6 @@ class PipelineOptions:
         # written so that NaN fails
         if not self.min_gap >= 0:
             raise InvalidInputError(f"min_gap must be nonnegative, got {self.min_gap}")
-
-
-DEFAULT_OPTIONS = PipelineOptions()
 
 
 @dataclass(frozen=True)
@@ -147,14 +143,15 @@ def log_certificate(
 
 
 def near_commuting_unitaries(
-    u, v, opts: PipelineOptions = DEFAULT_OPTIONS
+    u, v, opts: PipelineOptions = PipelineOptions()
 ) -> PipelineResult:
     """Commuting unitary pair (X, Y) near the almost-commuting input (U, V).
 
-    Each input is checked before any arithmetic on it: center_gap trusts a
-    UnitaryMatrix and checks a plain array by UnitaryMatrix.from_array, and
-    only then is |[U, V]| taken. Rejects inputs whose largest spectral gap
-    half-width is at or below opts.min_gap. The returned pair commutes
+    The inputs enter through one door: each is taken once by
+    UnitaryMatrix.of, which names it U or V in a shape or entry rejection;
+    then commutator takes |[U, V]| and rejects two sizes; only then does
+    center_gap decompose each input. Rejects inputs whose largest spectral
+    gap half-width is at or below opts.min_gap. The returned pair commutes
     within the commute tolerance; the result carries all measured
     distances and the bound report.
 
@@ -193,12 +190,11 @@ def near_commuting_unitaries(
       NumericalError. Q has gathered every sweep's Cayley factor, so [X, Y]
       is zero only as far as Q is orthonormal, and the check enforces it.
     """
-    a_u = as_square_array(u, "U")
-    a_v = as_square_array(v, "V")
-    n = a_u.shape[0]
+    u, v = UnitaryMatrix.of(u, "U"), UnitaryMatrix.of(v, "V")
+    eps = operator_norm(commutator(u.mat, v.mat))
+    n = u.n
     es_u, gap1 = center_gap(u)
     es_v, gap2 = center_gap(v)
-    eps = operator_norm(commutator(a_u, a_v))
     if gap1.half_width <= opts.min_gap or gap2.half_width <= opts.min_gap:
         raise GapTooSmallError(
             f"gap half-widths ({gap1.half_width:.6f}, {gap2.half_width:.6f}) "
@@ -233,8 +229,8 @@ def near_commuting_unitaries(
     if exp_dist_a > pair.dist_a + 1e-10 * n or exp_dist_b > pair.dist_b + 1e-10 * n:
         raise NumericalError("exponentiation exceeded its Lipschitz bound")
 
-    dist_u = operator_norm(x_mat - a_u)
-    dist_v = operator_norm(y_mat - a_v)
+    dist_u = operator_norm(x_mat - u.mat)
+    dist_v = operator_norm(y_mat - v.mat)
     if dist_u > pair.dist_a + es_u.residual + 1e-10 * n:
         raise NumericalError("distance to X exceeds log distance plus residual slack")
     if dist_v > pair.dist_b + es_v.residual + 1e-10 * n:

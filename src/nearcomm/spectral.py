@@ -131,8 +131,7 @@ def unitary_eigensystem(u) -> Eigensystem:
     prechecked like the first; after _MAX_PROBES transforms NumericalError
     is raised.
 
-    A UnitaryMatrix is trusted; a plain array is checked by
-    UnitaryMatrix.from_array. The Rayleigh quotients must lie within
+    U is taken by UnitaryMatrix.of. The Rayleigh quotients must lie within
     MODULUS_TOL of the unit circle, and the reconstruction residual
     |Z diag(e^{i*angles}) Z^H - U| must stay within
     UNITARITY_TOL * n; the eigensystem carries gated_norm of that
@@ -143,8 +142,7 @@ def unitary_eigensystem(u) -> Eigensystem:
     carry a defect it does not have: a non-unitary input is rejected as
     invalid rather than reported as a numerical failure.
     """
-    if not isinstance(u, UnitaryMatrix):
-        u = UnitaryMatrix.from_array(u)
+    u = UnitaryMatrix.of(u)
     a, n = u.mat, u.n
     tol, eps = UNITARITY_TOL * n, np.finfo(float).eps
     trace = complex(np.trace(a))

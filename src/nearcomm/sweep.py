@@ -19,7 +19,7 @@ import numpy as np
 
 from .ensembles import check_ensemble_params, check_seed, gen_almost_commuting_pair
 from .errors import InvalidInputError, NumericalError, PreconditionError
-from .pipeline import DEFAULT_OPTIONS, PipelineResult, near_commuting_unitaries
+from .pipeline import PipelineResult, near_commuting_unitaries
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ def run_sweep(config: ExperimentConfig) -> list[TrialRecord]:
                 u, v, eps_actual = gen_almost_commuting_pair(
                     config.n, config.delta, eps, config.seed, i, t
                 )
-                res = near_commuting_unitaries(u, v, DEFAULT_OPTIONS)
+                res = near_commuting_unitaries(u, v)
             except (PreconditionError, InvalidInputError, NumericalError,
                     np.linalg.LinAlgError) as exc:
                 res = exc

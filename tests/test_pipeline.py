@@ -126,6 +126,34 @@ class TestNearCommutingUnitaries:
             with pytest.raises(InvalidInputError, match=r"^unitarity defect nan "):
                 near_commuting_unitaries(u, v)
 
+    def test_size_mismatch_rejected_before_any_decomposition(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # typed, as plain arrays and as MTXC files: the commutator's shape
+        # check decides before either input's eigensystem is taken
+        solves, eighs = (_counting(monkeypatch, np.linalg, name) for name in ("solve", "eigh"))
+        u, v = gen_gapped_unitary(16, 0.5, 1), gen_gapped_unitary(8, 0.5, 2)
+        message = r"^dimension mismatch: \(16, 16\) vs \(8, 8\)$"
+        for pair in [(u, v), (u.mat, v.mat)]:
+            with pytest.raises(InvalidInputError, match=message):
+                near_commuting_unitaries(*pair)
+        paths = [tmp_path / f"{name}.mtxc" for name in "uvxy"]
+        mtxc.write(paths[0], u)
+        mtxc.write(paths[1], v)
+        assert cli.main(["pair", *map(str, paths[:2]),
+                         "--out-x", str(paths[2]), "--out-y", str(paths[3])]) == 2
+        assert capsys.readouterr().err == "rejected: dimension mismatch: (16, 16) vs (8, 8)\n"
+        assert solves == eighs == []
+
+    @pytest.mark.parametrize("u, v, message", [
+        (np.eye(2), np.eye(2, 3), r"^V must be square, got shape \(2, 3\)$"),
+        (np.diag([1.0, np.nan]), np.eye(2), r"^U has non-finite entries$"),
+    ])
+    def test_inputs_rejected_by_their_names(self, monkeypatch, u, v, message):
+        solves, eighs = (_counting(monkeypatch, np.linalg, name) for name in ("solve", "eigh"))
+        with pytest.raises(InvalidInputError, match=message):
+            near_commuting_unitaries(u, v)
+        assert solves == eighs == []
+
     def test_gap_too_small_error_message_is_the_message_alone(self):
         # positional gaps stay out of args, so str(exc) is the message
         for exc, gaps in [(GapTooSmallError("m", (0.1, 0.2)), (0.1, 0.2)),

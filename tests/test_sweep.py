@@ -150,7 +150,7 @@ class TestRunSweep:
 
 
     def test_programming_error_propagates(self, monkeypatch):
-        def broken(u, v, opts):
+        def broken(*args):
             raise TypeError("bug in the pipeline")
 
         monkeypatch.setattr("nearcomm.sweep.near_commuting_unitaries", broken)
@@ -158,7 +158,7 @@ class TestRunSweep:
             run_sweep(small_config())
 
     def test_numerical_failure_becomes_nan_row(self, monkeypatch, tmp_path):
-        def failing(u, v, opts):
+        def failing(*args):
             raise NumericalError("did not converge")
 
         monkeypatch.setattr("nearcomm.sweep.near_commuting_unitaries", failing)
@@ -209,7 +209,7 @@ class TestSummarize:
         assert math.isnan(summarize(records).slope)
 
     def test_all_failed_group_gives_nan_medians_and_slope(self, monkeypatch):
-        def failing(u, v, opts):
+        def failing(*args):
             raise NumericalError("did not converge")
 
         monkeypatch.setattr("nearcomm.sweep.near_commuting_unitaries", failing)
