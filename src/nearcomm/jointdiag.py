@@ -18,7 +18,6 @@ that basis and the two real diagonals, never as dense matrices.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,20 +71,16 @@ class CommutingHermitianPair:
             object.__setattr__(self, name, _frozen(getattr(self, name), np.float64))
 
 
-def _off(w, mask: np.ndarray) -> float:
-    """off of the pair w = (A, B): the summed squared moduli of the entries under mask."""
-    return float(np.sum(np.abs(w[0][mask]) ** 2) + np.sum(np.abs(w[1][mask]) ** 2))
-
-
-@functools.lru_cache(maxsize=16)
-def _upper_planes(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only rows p, columns q and flat indices p*n + q of the planes p < q."""
-    p, q = np.triu_indices(n, 1)
-    return tuple(_frozen(index, np.intp) for index in (p, q, p * n + q))
+def _off(w: np.ndarray) -> float:
+    """off of the stacked pair w = (A, B): the summed squared moduli of its off-diagonal entries."""
+    sq = np.abs(w) ** 2
+    for m in sq:
+        np.fill_diagonal(m, 0.0)
+    return float(sq.sum())
 
 
 def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs first-order generator X and the weights D of its model.
+    """All-pairs first-order generator X and the n x n weights D of its model.
 
     In the basis where A and B read wa and wb, the step I + X moves the
     (p, q) entries of A and B to first order by Da*x_pq and Db*x_pq, with
@@ -93,17 +88,17 @@ def _newton_generator(wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.nd
     x_pq = -(Da*a_pq + Db*b_pq)/D with D = Da^2 + Db^2 minimizes that
     linear model: the numerator is the gradient of off scaled by the
     positive weight 1/D, so X is a descent direction, and the model
-    predicts the decrease 2 sum_{p<q} D |x_pq|^2. A tied plane (D = 0)
-    gets x_pq = 0; a near tie, where the linear model fails, is capped at
-    |x_pq| <= 1 by a positive scaling that keeps both properties. D, a
-    vector, and x_pq are computed on the planes p < q only; X = -X^H.
+    predicts the decrease sum D |X|^2 = 2 sum_{p<q} D |x_pq|^2. A tied
+    plane (D = 0) gets x_pq = 0; a near tie, where the linear model fails,
+    is capped at |x_pq| <= 1 by a positive scaling that keeps both
+    properties. X = x - x^H takes x from the planes p < q only, as a pair
+    after a Cayley step is Hermitian only to rounding.
     """
-    p, q, k = _upper_planes(wa.shape[0])
-    da, db = (w.diagonal().real[p] - w.diagonal().real[q] for w in (wa, wb))
+    a, b = wa.diagonal().real, wb.diagonal().real
+    da, db = a[:, None] - a, b[:, None] - b
     d = da**2 + db**2
-    xu = -(da * wa.take(k) + db * wb.take(k)) / np.where(d > 0, d, 1.0)
-    x = np.zeros_like(wa)
-    x.put(k, xu / np.maximum(np.abs(xu), 1.0))
+    x = -(da * wa + db * wb) / np.where(d > 0, d, 1.0)
+    x = np.triu(x / np.maximum(np.abs(x), 1.0), 1)
     return x - x.conj().T, d
 
 
@@ -136,24 +131,22 @@ def nearest_commuting_pair(a, b) -> CommutingHermitianPair:
     _, basis = np.linalg.eigh(ma + _WARM_START_WEIGHT * mb)
     w = basis.conj().T @ np.stack((ma, mb)) @ basis
     eye = np.eye(n)
-    mask = ~np.eye(n, dtype=bool)
-    upper = _upper_planes(n)[2]
     scale = float(np.sum(np.abs(ma) ** 2) + np.sum(np.abs(mb) ** 2))
     floor = 1e-30 * max(scale, 1.0)
 
-    history = [_off(w, mask)]
+    history = [_off(w)]
     converged = False
     while len(history) <= MAX_SWEEPS:
         prev = history[-1]
         x, d = _newton_generator(*w)
-        predicted = 2.0 * float(np.sum(d * np.abs(x.take(upper)) ** 2))
+        predicted = float(np.sum(d * np.abs(x) ** 2))
         if predicted <= _REL_IMPROVEMENT_TOL * prev + floor:
             converged = True
             break
         for _ in range(_MAX_HALVINGS):
             g = np.linalg.solve(eye - x / 2.0, eye + x / 2.0)
             trial = g.conj().T @ w @ g
-            cur = _off(trial, mask)
+            cur = _off(trial)
             if cur <= prev:
                 break
             x = x / 2.0
@@ -165,9 +158,7 @@ def nearest_commuting_pair(a, b) -> CommutingHermitianPair:
         basis = basis @ g
         history.append(cur)
 
-    wa, wb = w
-    diag_a = np.diag(wa).real
-    diag_b = np.diag(wb).real
+    diag_a, diag_b = w.diagonal(axis1=1, axis2=2).real
     return CommutingHermitianPair(
         basis=basis,
         diag_a=diag_a,

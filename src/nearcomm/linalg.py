@@ -15,8 +15,8 @@ gated_norm of the defect matrix, a certified upper bound within sqrt(n)
 of its operator norm that meets the tolerance exactly when that norm
 does; a reported defect (unitarity_defect, hermiticity_defect,
 certified_unitary) is the exact operator norm. One rule decides trust:
-Cls.of(m) returns a Cls argument as it is, since it carries its
-certificate, and checks anything else by Cls.from_array; a
+Cls.of(m) returns a Cls argument certified within from_array's tolerance
+as it is, and checks anything else by Cls.from_array; a
 HermitianMatrix or UnitaryMatrix is built only with a defect an O(n^2)
 norm of it does not contradict.
 """
@@ -79,8 +79,9 @@ class _CertifiedMatrix:
 
     @classmethod
     def of(cls, m, name: str = "matrix"):
-        """m when it is a cls, trusted for its certificate; else cls.from_array(m, name)."""
-        return m if isinstance(m, cls) else cls.from_array(m, name)
+        """m as it is when it is a cls certified within tolerance; else cls.from_array(m, name)."""
+        trusted = isinstance(m, cls) and m.defect <= cls._tol * m.n
+        return m if trusted else cls.from_array(m, name)
 
 
 class HermitianMatrix(_CertifiedMatrix):
@@ -90,6 +91,7 @@ class HermitianMatrix(_CertifiedMatrix):
     sqrt(n) |M - M^H|, so a Frobenius norm above sqrt(n) * defect (plus a
     relative rounding margin) proves it too small. O(n^2); exact at 0.
     """
+    _tol = HERMITICITY_TOL
 
     def __post_init__(self):
         super().__post_init__()
@@ -103,7 +105,7 @@ class HermitianMatrix(_CertifiedMatrix):
     @classmethod
     def from_array(cls, m, name: str = "matrix") -> "HermitianMatrix":
         a = as_square_array(m, name)
-        tol = HERMITICITY_TOL * a.shape[0]
+        tol = cls._tol * a.shape[0]
         d = gated_norm(_skew(a), tol)
         if not d <= tol:
             raise InvalidInputError(f"hermiticity defect {d:.3e} exceeds tolerance {tol:.3e}")
@@ -119,6 +121,7 @@ class UnitaryMatrix(_CertifiedMatrix):
     and Stability, 2002, 3.1); the margin (n + 2) eps (|m_j|^2 + 1), eps =
     2u, covers it and the same rounding in a measured defect. O(n^2).
     """
+    _tol = UNITARITY_TOL
 
     def __post_init__(self):
         super().__post_init__()
@@ -132,7 +135,7 @@ class UnitaryMatrix(_CertifiedMatrix):
     @classmethod
     def from_array(cls, m, name: str = "matrix") -> "UnitaryMatrix":
         a = as_square_array(m, name)
-        tol = UNITARITY_TOL * a.shape[0]
+        tol = cls._tol * a.shape[0]
         d = gated_norm(_gram_defect(a), tol)
         if not d <= tol:  # a NaN defect, from a product that overflowed, fails too
             raise InvalidInputError(f"unitarity defect {d:.3e} exceeds tolerance {tol:.3e}")

@@ -27,7 +27,7 @@ def random_hermitian(n, rng):
 
 def off_of(a, b):
     """The JD objective off of (A, B): summed squared off-diagonal moduli."""
-    return _off((a, b), ~np.eye(a.shape[0], dtype=bool))
+    return _off((a, b))
 
 
 def commuting_pair(n, seed, spread=2.0):
@@ -114,6 +114,67 @@ class TestNewtonGenerator:
         assert operator_norm(commutator(*dense_pair(pair))) <= 1e-12 * 3
 
 
+def flat_index_generator(wa, wb):
+    """The generator computed plane by plane on the flat indices p*n + q of p < q.
+
+    The reference for _newton_generator: it returns the same X, and D as a
+    vector over the planes p < q in row order.
+    """
+    n = wa.shape[0]
+    p, q = np.triu_indices(n, 1)
+    k = p * n + q
+    da, db = (w.diagonal().real[p] - w.diagonal().real[q] for w in (wa, wb))
+    d = da**2 + db**2
+    xu = -(da * wa.take(k) + db * wb.take(k)) / np.where(d > 0, d, 1.0)
+    x = np.zeros_like(wa)
+    x.put(k, xu / np.maximum(np.abs(xu), 1.0))
+    return x - x.conj().T, d
+
+
+def generator_input(case):
+    """A stacked pair (A, B) for the generator, named by case."""
+    rng = np.random.default_rng(41)
+    if case.startswith("random-"):
+        n = int(case.split("-")[1])
+        return np.stack((random_hermitian(n, rng), random_hermitian(n, rng)))
+    if case == "ties":
+        # planes (0, 1) tie exactly in both; (0, 2) and (1, 2) nearly, so the cap binds
+        a = random_hermitian(4, rng)
+        b = random_hermitian(4, rng)
+        a[np.diag_indices(4)] = [1.0, 1.0, 1.0 + 1e-13, 2.0]
+        b[np.diag_indices(4)] = [0.5, 0.5, 0.5 - 1e-13, -1.0]
+        return np.stack((a, b))
+    # one Cayley step leaves a pair that is Hermitian only to rounding
+    w = generator_input("random-8")
+    x, _ = _newton_generator(*w)
+    eye = np.eye(8)
+    g = np.linalg.solve(eye - x / 2.0, eye + x / 2.0)
+    return g.conj().T @ w @ g
+
+
+class TestGeneratorAgainstFlatIndices:
+    CASES = ["random-1", "random-2", "random-3", "random-8", "random-33", "ties", "cayley"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_generator_bits(self, case):
+        w = generator_input(case)
+        if case == "cayley":
+            assert not np.array_equal(w, w.conj().swapaxes(1, 2))
+        x, d = _newton_generator(*w)
+        ref_x, ref_d = flat_index_generator(*w)
+        assert x.tobytes() == ref_x.tobytes()
+        assert d[np.triu_indices(w.shape[1], 1)].tobytes() == ref_d.tobytes()
+        if case == "ties":
+            assert x[0, 1] == 0 and np.abs(x[[0, 1], 2]) == pytest.approx([1.0, 1.0])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_off_is_the_masked_sum(self, case):
+        w = generator_input(case)
+        mask = ~np.eye(w.shape[1], dtype=bool)
+        masked = np.sum(np.abs(w[0][mask]) ** 2) + np.sum(np.abs(w[1][mask]) ** 2)
+        assert _off(w) == pytest.approx(masked, rel=1e-15, abs=0.0)
+
+
 class TestOffMeasure:
     def test_diagonal_is_zero(self):
         assert off_of(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == 0.0
@@ -187,7 +248,7 @@ class TestNearestCommutingPair:
         off = np.sum(np.abs(ra[..., mask]) ** 2 + np.abs(rb[..., mask]) ** 2, axis=-1)
         i = np.unravel_index(np.argmin(off), off.shape)
         best = off[i]
-        assert best == pytest.approx(_off((ra[i], rb[i]), mask), rel=1e-12)
+        assert best == pytest.approx(_off((ra[i], rb[i])), rel=1e-12)
         assert pair.off_history[-1] <= best + 1e-10
 
     def test_same_matrix_twice(self):
@@ -253,8 +314,8 @@ class TestNearestCommutingPair:
         a, b = random_hermitian(5, rng), random_hermitian(5, rng)
         readings, real = [], jointdiag._off
 
-        def rising(w, mask):
-            readings.append(real(w, mask))
+        def rising(w):
+            readings.append(real(w))
             return readings[0] if len(readings) == 1 else 2.0 * readings[0] + 1.0
 
         monkeypatch.setattr(jointdiag, "_off", rising)

@@ -15,6 +15,8 @@ from nearcomm import (
     NumericalError,
     commutator,
     haar_unitary,
+    near_commuting_unitaries,
+    nearest_commuting_pair,
     operator_norm,
     stream_rng,
 )
@@ -35,7 +37,7 @@ from nearcomm.linalg import (
 )
 from nearcomm.gapped_log import LaurentCoefficients
 from nearcomm.jointdiag import CommutingHermitianPair
-from nearcomm.spectral import Eigensystem, unitary_eigensystem
+from nearcomm.spectral import Eigensystem, center_gap, unitary_eigensystem
 
 RNG = np.random.default_rng(20240811)
 
@@ -318,6 +320,28 @@ class TestTypes:
         u = UnitaryMatrix.from_array(np.eye(2))
         assert operator_norm(u) == pytest.approx(1.0)
         assert np.asarray(u).shape == (2, 2)
+
+    @pytest.mark.parametrize("call", ["herm_exp", "nearest_commuting_pair", "center_gap",
+                                      "near_commuting_unitaries"])
+    def test_certificate_above_tolerance_is_checked_as_the_plain_array(self, call):
+        # HermitianMatrix(M, 1.0) and UnitaryMatrix(2I, 3.0) construct, since
+        # no O(n^2) norm contradicts their defects, but each defect exceeds
+        # the tolerance from_array enforces: .of checks such an instance as
+        # its plain array, with the plain array's message
+        h, u = np.array([[0.0, 1.0], [0.0, 0.0]]), 2.0 * np.eye(2)
+        plain, typed, run = {
+            "herm_exp": (h, HermitianMatrix(h, 1.0), herm_exp),
+            "nearest_commuting_pair": (h, HermitianMatrix(h, 1.0),
+                                       lambda m: nearest_commuting_pair(m, np.eye(2))),
+            "center_gap": (u, UnitaryMatrix(u, 3.0), center_gap),
+            "near_commuting_unitaries": (u, UnitaryMatrix(u, 3.0),
+                                         lambda m: near_commuting_unitaries(m, np.eye(2))),
+        }[call]
+        with pytest.raises(InvalidInputError) as expected:
+            run(plain)
+        with pytest.raises(InvalidInputError) as got:
+            run(typed)
+        assert str(got.value) == str(expected.value)
 
     def test_wrapped_matrix_is_immutable(self):
         u = UnitaryMatrix.from_array(np.eye(2))
